@@ -166,9 +166,12 @@ def cmd_scan(args) -> int:
 # ------------------------------------------------------------------ bounds
 
 def cmd_bounds(args) -> int:
+    """Frame bounds from the transfer window, cross-checked by the ladder."""
     w = _load_window(args.window)
     lat = reduce(_parse_rational(args.alpha, "alpha"),
                  _parse_rational(args.beta, "beta"))
+    if lat.alpha > 2:
+        raise ConfigError("alpha*beta outside the supported range (0, 2]")
     opts = _options(args)
     g = effective_window(w, lat)
     diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
@@ -289,7 +292,8 @@ def _add_common(sp):
                     help="JSON config file; explicit flags win")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` (e.g. from --config) override flag defaults."""
     ap = argparse.ArgumentParser(
         prog="tpgabor",
         description="Gabor frame certification for totally positive windows "
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=None)
     sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("bounds", help="frame-bound ladder only")
+    sp = sub.add_parser("bounds", help="frame-bound estimate only")
     _add_common(sp)
     sp.set_defaults(func=cmd_bounds)
 
@@ -335,29 +339,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_audit)
+    for sp in sub.choices.values():
+        sp.set_defaults(**(defaults or {}))
     return ap
 
 
-def _apply_config_file(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        try:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        argv_flags = {a.lstrip("-").replace("-", "_").split("=")[0]
-                      for a in sys.argv if a.startswith("--")}
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in argv_flags:
-                setattr(args, attr, val)
-    return args
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config file is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return cfg
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        if args.config:
+            # config values become the subcommand's defaults, so explicit
+            # flags win and string values go through each flag's type
+            known = set(vars(args)) - {"command", "func", "config"}
+            cfg = {k.replace("-", "_"): v
+                   for k, v in _read_config(args.config).items()}
+            args = build_parser({k: v for k, v in cfg.items()
+                                 if k in known}).parse_args(argv)
         return args.func(args)
     except (ConfigError, LatticeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,7 +3,7 @@
 Chains the module operations in the order the theory composes them:
 Zak-zero location, perturbation selection per x, the alternating
 surjectivity witness, the p x p injectivity certificate, and the
-pre-Gramian frame-bound ladder.  Produces one machine-readable diagnosis
+pre-Gramian frame-bound estimate.  Produces one machine-readable diagnosis
 with every certificate attached.
 """
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Truncated pre-Gramian sections and frame-bound estimation.
 
-P(x)_{jk} = g(x + alpha j - k).  Lower frame bounds come from the smallest
-singular value of interior-column restrictions of truncated sections; the
-verdict requires the estimate to be stable across a ladder of truncation
-sizes, since infinite-matrix stability is only observable as
-truncation-stable behavior.
+P(x)_{jk} = g(x + alpha j - k).  The frame bounds come from the exact q x p
+transfer window of P(x) (Zibulski-Zeevi) over one x-period [0, 1/q).  The
+verdict also requires the smallest singular value of interior-column
+restrictions of truncated sections, centred on the worst vector, to be
+stable across a ladder of truncation sizes, since infinite-matrix
+stability is only observable as truncation-stable behavior.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 from .lattice import RationalLattice
 from .tpmatrix import MatrixSection
 from .windows import Dilated, OneSidedExp, TPWindow, truncation_radius
+from .zibulski import TRANSFER_XI_GRID_N, transfer_window, worst_column
 
 
 class PregramianError(RuntimeError):
@@ -62,18 +64,6 @@ def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,
                          description="P(x)_{jk} = g(x + alpha j - k)")
 
 
-def _restricted_singular_values(w, lat, x, J, tail_tol):
-    sec = pregramian_section(w, lat, x, J, tail_tol)
-    R = truncation_radius(w, tail_tol)
-    K = (sec.entries.shape[1] - 1) // 2
-    # a column k has full row support within |j| <= J only for |k| <= alpha*J - R
-    K_inner = max(int(math.floor(lat.alpha_float * J)) - R, 0)
-    sl = slice(K - K_inner, K + K_inner + 1)
-    sig_restr = np.linalg.svd(sec.entries[:, sl], compute_uv=False)
-    sig_full = np.linalg.svd(sec.entries, compute_uv=False)
-    return float(sig_restr[-1]), float(sig_full[0])
-
-
 def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
                      tail_tol: float = 1e-10) -> float:
     """sigma_min^2 of the interior-column restriction of the section at x.
@@ -81,8 +71,14 @@ def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
     The restriction drops one truncation radius of boundary columns so
     edge effects do not spuriously deflate the smallest singular value.
     """
-    smin, _ = _restricted_singular_values(w, lat, x, J, tail_tol)
-    return smin ** 2
+    sec = pregramian_section(w, lat, x, J, tail_tol)
+    R = truncation_radius(w, tail_tol)
+    K = (sec.entries.shape[1] - 1) // 2
+    # a column k has full row support within |j| <= J only for |k| <= alpha*J - R
+    K_inner = max(int(math.floor(lat.alpha_float * J)) - R, 0)
+    sig = np.linalg.svd(sec.entries[:, K - K_inner:K + K_inner + 1],
+                        compute_uv=False)
+    return float(sig[-1]) ** 2
 
 
 def upper_bound_cert(w: TPWindow, alpha: float = 1.0, grid_n: int = 256,
@@ -103,11 +99,18 @@ def upper_bound_cert(w: TPWindow, alpha: float = 1.0, grid_n: int = 256,
 def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
                  J_ladder: Sequence[int] = (16, 32, 64),
                  tail_tol: float = 1e-10) -> FrameDiagnosis:
-    """Estimate frame bounds over an x grid and a truncation ladder.
+    """Frame bounds from the transfer window, cross-checked by a ladder.
+
+    A and B are the min of sigma_min^2 and the max of sigma_max^2 of the
+    q x p transfer window over x_grid_n points of one x-period [0, 1/q)
+    (the spectrum of P(x) is 1/q-periodic, as alpha*Z + Z = Z/q).  At an x
+    equivalent to the worst x, with the section centred on the worst
+    vector, the interior-restricted section bound runs over the truncation
+    ladder; Frame needs its last step to change by under 10%.
 
     alpha*beta >= 1 short-circuits to NotFrame by the density theorem
     (Balian-Low at equality for smooth windows); the one-sided exponential
-    at alpha*beta = 1 is the exception and gets the full ladder with an
+    at alpha*beta = 1 is the exception and gets the full estimate with an
     Inconclusive verdict carrying the bounded sigma trace.
     """
     if x_grid_n < 16:
@@ -134,28 +137,32 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     scale = max(1.0, (R + 4.0) / (lat.alpha_float * J_ladder[0]))
     J_ladder = tuple(int(math.ceil(J * scale)) for J in J_ladder)
 
-    xs = np.arange(x_grid_n) / x_grid_n
-    ladder = []
-    b_max = 0.0
-    worst = {}
-    for J in J_ladder:
-        mins = np.empty(x_grid_n)
-        for i, x in enumerate(xs):
-            smin, smax = _restricted_singular_values(w, lat, float(x), J, tail_tol)
-            mins[i] = smin ** 2
-            if J == J_ladder[-1]:
-                b_max = max(b_max, smax ** 2)
-        ladder.append(float(np.min(mins)))
-        worst[J] = float(xs[int(np.argmin(mins))])
+    xs = np.arange(x_grid_n) / (x_grid_n * lat.q)
+    lo, hi, xi_lo = transfer_window(w, lat, xs, TRANSFER_XI_GRID_N, tail_tol)
+    worst = int(np.argmin(lo))
+    A_est, B_est, worst_x = float(lo[worst]), float(np.max(hi)), float(xs[worst])
 
-    A_est = ladder[-1]
-    worst_x = worst[J_ladder[-1]]
+    # P(worst_x) around row a, column b is the section of P(x_lad) around
+    # (0, 0), x_lad = worst_x + alpha a - b, with the same spectrum.  Its
+    # worst vector can be localized within a period of p columns, so the
+    # ladder is centred where it peaks: at worst_x itself, a section with
+    # fewer than p interior columns can miss it (Gaussian 55/56: NotFrame).
+    b = worst_column(w, lat, worst_x, float(xi_lo[worst]), tail_tol)
+    a = round((b - worst_x) / lat.alpha_float)
+    x_lad = worst_x + lat.alpha_float * a - b
+    ladder = [lower_bound_at_x(w, lat, x_lad, J, tail_tol) for J in J_ladder]
     rel = abs(ladder[-1] - ladder[-2]) / max(ladder[-1], 1e-300)
     decreasing = all(ladder[i + 1] < 0.6 * ladder[i] for i in range(len(ladder) - 1))
     evidence = [{"kind": "sigma_ladder",
+                 "x": x_lad,
                  "J_ladder": list(J_ladder),
                  "A_trace": ladder,
-                 "relative_change_last": rel}]
+                 "relative_change_last": rel},
+                {"kind": "transfer_window",
+                 "x_grid_n": x_grid_n,
+                 "xi_grid_n": TRANSFER_XI_GRID_N,
+                 "A": A_est,
+                 "B": B_est}]
 
     if alpha == 1 and one_sided:
         # frame set of the one-sided exponential includes alpha*beta = 1;
@@ -167,7 +174,7 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
                                    if not decreasing else
                                    "sigma trace decays toward zero"})
         return FrameDiagnosis(verdict=verdict, lower_bound_est=A_est,
-                              upper_bound_est=b_max, worst_x=worst_x,
+                              upper_bound_est=B_est, worst_x=worst_x,
                               evidence=evidence)
 
     if A_est > 0 and rel < 0.10 and not decreasing:
@@ -177,5 +184,5 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     else:
         verdict = VERDICT_INCONCLUSIVE
     return FrameDiagnosis(verdict=verdict, lower_bound_est=A_est,
-                          upper_bound_est=b_max, worst_x=worst_x,
+                          upper_bound_est=B_est, worst_x=worst_x,
                           evidence=evidence)

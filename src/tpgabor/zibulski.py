@@ -3,8 +3,8 @@
 A_{rs}(xi) = Z_p g(r + delta_r - s, xi) on xi in [0, 1/p].  Pointwise
 invertibility of A certifies that G is one-to-one; the scan records both
 min |det A| (diagnostic) and min sigma_min (the certified quantity).
-The module also carries the q x p transfer matrix used to cross-validate
-pre-Gramian frame-bound estimates.
+The module also carries the q x p transfer matrix whose spectral window
+gives the pre-Gramian frame-bound estimates.
 """
 from __future__ import annotations
 
@@ -19,6 +19,10 @@ from .windows import TPWindow, truncation_radius
 
 class ZibulskiError(RuntimeError):
     """Certificate construction or consistency check failed."""
+
+
+TRANSFER_XI_GRID_N = 128
+_TRANSFER_CHUNK = 1 << 20  # complex entries per Zak bank, 16 MB
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,8 @@ def _zak_bank(w: TPWindow, p: int, points: np.ndarray, xis: np.ndarray,
               tol: float) -> np.ndarray:
     """Z_p g(point, xi) for every (point, xi) pair; shape (npts, nxi)."""
     R = truncation_radius(w, tol)
-    K = int(math.ceil((R + float(np.max(np.abs(points)))) / min(p, 1))) + 2
+    # every omitted term has |point - p k| > R, so the tail stays below tol
+    K = int(math.ceil((R + float(np.max(np.abs(points)))) / p)) + 2
     k = np.arange(-K, K + 1)
     gmat = w(points[:, None] - p * k[None, :])
     phases = np.exp(2j * math.pi * p * np.outer(k, xis))
@@ -182,21 +187,61 @@ def fourier_factorization_check(w: TPWindow, lat: RationalLattice,
                                xi_grid_n=xi_grid_n)
 
 
-def transfer_frame_bound(w: TPWindow, lat: RationalLattice, x: float,
-                         xi_grid_n: int = 128,
-                         tol: float = 1e-10) -> tuple:
-    """Frame-bound window at fixed x from the q x p transfer matrix.
+def _transfer_stack(w: TPWindow, lat: RationalLattice, xs: np.ndarray,
+                    xis: np.ndarray, tol: float) -> np.ndarray:
+    """B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi); shape (nx, nxi, q, p)."""
+    p, q = lat.p, lat.q
+    offsets = lat.alpha_float * np.arange(q)[:, None] - np.arange(p)[None, :]
+    bank = _zak_bank(w, p, (xs[:, None, None] + offsets).ravel(), xis, tol)
+    return np.moveaxis(bank.reshape(len(xs), q, p, len(xis)), 3, 1)
 
-    B(xi)_{ab} = Z_p g(x + alpha a - b, xi), a = 0..q-1, b = 0..p-1.
-    Returns (min_xi sigma_min^2, max_xi sigma_max^2): the exact
-    (truncation-free) spectral window of the pre-Gramian at x.  Used to
-    cross-validate the truncated-section estimates.
+
+def transfer_window(w: TPWindow, lat: RationalLattice, xs,
+                    xi_grid_n: int = TRANSFER_XI_GRID_N,
+                    tol: float = 1e-10) -> tuple:
+    """Exact spectral window of the pre-Gramian at every x in xs.
+
+    B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi), a = 0..q-1, b = 0..p-1.
+    Returns the arrays (min_xi sigma_min^2, max_xi sigma_max^2, argmin xi)
+    over xs, truncation-free up to tol, on xi_grid_n cells of [0, 1/p].
+    For q < p, B has rank at most q < p, so the lower end is 0.
+
+    g is real, so B(x, 1/p - xi) = conj B(x, xi) has the same singular
+    values and only the grid points with xi <= 1/(2p) are evaluated.  The
+    x points share one Zak bank and one stacked SVD per chunk of at most
+    _TRANSFER_CHUNK matrix entries, which bounds the memory for large q p.
     """
     p, q = lat.p, lat.q
-    alpha = lat.alpha_float
-    pts = np.array([[x + alpha * a - b for b in range(p)] for a in range(q)])
-    xis = np.linspace(0.0, 1.0 / p, xi_grid_n + 1)
-    bank = _zak_bank(w, p, pts.ravel(), xis, tol)
-    B = np.moveaxis(bank.reshape(q, p, len(xis)), 2, 0)  # (nxi, q, p)
-    sig = np.linalg.svd(B, compute_uv=False)
-    return float(np.min(sig[:, -1]) ** 2), float(np.max(sig[:, 0]) ** 2)
+    xs = np.asarray(xs, dtype=float)
+    xis = np.linspace(0.0, 1.0 / p, xi_grid_n + 1)[:xi_grid_n // 2 + 1]
+    step = max(1, _TRANSFER_CHUNK // (q * p * len(xis)))
+    lo, hi, xi_lo = np.zeros(len(xs)), np.empty(len(xs)), np.empty(len(xs))
+    for i in range(0, len(xs), step):
+        sig = np.linalg.svd(_transfer_stack(w, lat, xs[i:i + step], xis, tol),
+                            compute_uv=False)
+        hi[i:i + step] = np.max(sig[..., 0], axis=1) ** 2
+        xi_lo[i:i + step] = xis[np.argmin(sig[..., -1], axis=1)]
+        if q >= p:
+            lo[i:i + step] = np.min(sig[..., -1], axis=1) ** 2
+    return lo, hi, xi_lo
+
+
+def worst_column(w: TPWindow, lat: RationalLattice, x: float, xi: float,
+                 tol: float = 1e-10) -> int:
+    """Column of P(x), mod p, where its least-stretched Bloch vector peaks.
+
+    With u the right singular vector of sigma_min(B(x, xi)), the vector
+    c_{b + p m} = u_b exp(2 pi i p m xi) has (P(x) c)_{a + q n} =
+    exp(2 pi i p n xi) (B u)_a, so |c| is p-periodic with its peak at
+    argmax_b |u_b|.
+    """
+    B = _transfer_stack(w, lat, np.array([x]), np.array([xi]), tol)[0, 0]
+    return int(np.argmax(np.abs(np.linalg.svd(B)[2][-1])))
+
+
+def transfer_frame_bound(w: TPWindow, lat: RationalLattice, x: float,
+                         xi_grid_n: int = TRANSFER_XI_GRID_N,
+                         tol: float = 1e-10) -> tuple:
+    """(min_xi sigma_min^2, max_xi sigma_max^2) of the transfer window at x."""
+    lo, hi, _ = transfer_window(w, lat, [x], xi_grid_n, tol)
+    return float(lo[0]), float(hi[0])

@@ -110,6 +110,15 @@ def test_bounds_json(tmp_path):
     assert payload["ladder_trace"]["kind"] == "sigma_ladder"
 
 
+def test_bounds_rejects_out_of_range(tmp_path):
+    # same (0, 2] density guard as diagnose and scan
+    for alpha in ("3", "5/2"):
+        code, text = run(["bounds", "--window", GAUSS, "--alpha", alpha]
+                         + FAST, tmp_path)
+        assert code == 64
+        assert text is None
+
+
 # ----------------------------------------------------------- data commands
 
 def test_zak_row_count(tmp_path):
@@ -183,23 +192,40 @@ def test_window_from_file(tmp_path):
         assert code == 0
 
 
-def test_config_file_flags_win(tmp_path, monkeypatch):
+def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
+    # "16" is a string: it must go through the --x-grid-n int type
     cfg.write_text(json.dumps({"window": GAUSS, "alpha": "1/2",
-                               "x_grid_n": 16, "cert_x_grid_n": 2,
+                               "x_grid_n": "16", "cert_x_grid_n": 2,
                                "j_ladder": "8,16,32"}))
     out = tmp_path / "o1"
-    monkeypatch.setattr("sys.argv", ["tpgabor", "bounds", "--config", str(cfg),
-                                     "--output", str(out)])
     assert cli.main(["bounds", "--config", str(cfg),
                      "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["verdict"] == "Frame"
-    # explicit flag beats the config value
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "Frame"
+    # explicit flag beats the config value, with argv given in-process
     out2 = tmp_path / "o2"
-    argv = ["bounds", "--config", str(cfg), "--alpha", "3/2",
-            "--output", str(out2)]
-    monkeypatch.setattr("sys.argv", ["tpgabor"] + argv)
-    assert cli.main(argv) == 1
+    assert cli.main(["bounds", "--config", str(cfg), "--alpha", "3/2",
+                     "--output", str(out2)]) == 1
+    assert json.loads(out2.read_text())["verdict"] == "NotFrame"
+    # and the other way round: a config at 3/4 with --alpha 1/2 gives the
+    # Gaussian's A at 1/2 (about 0.83), not the one at 3/4 (about 0.54)
+    cfg.write_text(json.dumps({"window": GAUSS, "alpha": "3/4",
+                               "j_ladder": "8,16,32"}))
+    code, text = run(["bounds", "--config", str(cfg), "--alpha", "1/2",
+                      "--x-grid-n", "16"], tmp_path, "o3")
+    assert code == 0
+    assert json.loads(text)["A_est"] > 0.8
+
+
+def test_config_file_errors_exit_64(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    arr = tmp_path / "arr.json"
+    arr.write_text("[1, 2]")
+    for path in (bad, arr, tmp_path / "missing.json"):
+        assert cli.main(["bounds", "--config", str(path), "--window", GAUSS,
+                         "--output", str(tmp_path / "x")]) == 64
 
 
 def test_determinism_repeat_runs(tmp_path):

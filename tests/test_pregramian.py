@@ -135,13 +135,36 @@ def test_upper_bound_finiteness(gauss, tsexp, sech, ose):
 
 
 def test_cross_validation_with_transfer_bound(gauss):
-    # truncated-section estimate vs the exact q x p spectral window at the
-    # reported worst x: agreement within 10%
-    lat = reduce("1/2", 1)
-    diag = frame_bounds(gauss, lat)
-    lo, _ = transfer_frame_bound(gauss, lat, x=diag.worst_x)
-    a = lower_bound_at_x(gauss, lat, x=diag.worst_x, J=64)
-    assert abs(a - lo) <= 0.10 * lo
+    # A_est is the minimum of the exact q x p spectral window over one
+    # x-period; the truncation ladder at the worst x agrees within 10%
+    lat = reduce("2/3", 1)
+    diag = frame_bounds(gauss, lat, x_grid_n=16)
+    xs = np.arange(16) / (16 * lat.q)
+    lows = [transfer_frame_bound(gauss, lat, x=float(x))[0] for x in xs]
+    assert diag.lower_bound_est == pytest.approx(min(lows), rel=1e-12)
+    assert diag.worst_x == pytest.approx(float(xs[int(np.argmin(lows))]))
+    ladder, window = diag.evidence[0], diag.evidence[1]
+    # the ladder runs at an x with the same spectrum: x - worst_x in Z/q
+    shift = (ladder["x"] - diag.worst_x) * lat.q
+    assert shift == pytest.approx(round(shift), abs=1e-9)
+    assert abs(ladder["A_trace"][-1] - diag.lower_bound_est) \
+        <= 0.10 * diag.lower_bound_est
+    assert window["kind"] == "transfer_window"
+    assert window["A"] == diag.lower_bound_est
+    assert window["B"] == diag.upper_bound_est
+    assert window["x_grid_n"] == 16
+
+
+def test_ladder_centred_on_worst_vector(gauss):
+    # at 31/32 the worst vector of P(x) is a bump of ~12 columns in each
+    # period of 31; a J=16 section at worst_x itself misses it (0.40 against
+    # A = 0.081, and Gaussian 55/56 read NotFrame that way), while the
+    # section centred on it is flat from the first rung
+    lat = reduce("31/32", 1)
+    diag = frame_bounds(gauss, lat, x_grid_n=16)
+    trace = diag.evidence[0]["A_trace"]
+    assert diag.verdict == "Frame"
+    assert trace[0] == pytest.approx(diag.lower_bound_est, rel=0.01)
 
 
 def test_frame_bounds_validation(gauss):

@@ -2,17 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pert
-from tpgabor.lattice import PerturbationSeq, reduce
+from tpgabor import zibulski
+from tpgabor.lattice import PerturbationSeq, RationalLattice, reduce
 from tpgabor.zak import zak
-from tpgabor.zibulski import (ZibulskiError, fourier_factorization_check,
-                              injectivity_scan, transfer_frame_bound,
-                              zz_matrix)
+from tpgabor.zibulski import (ZibulskiError, _zak_bank,
+                              fourier_factorization_check, injectivity_scan,
+                              transfer_frame_bound, transfer_window, zz_matrix)
 
 
 def const_pert(delta, x0=0.5, M=0, eps=0.1):
     return PerturbationSeq(deltas=(delta,), M=M, eps=eps, x=0.0, x0=x0)
+
+
+# -------------------------------------------------------------- Zak bank
+
+@pytest.mark.parametrize("p", [1, 7, 15])
+def test_zak_bank_matches_direct_sum(gauss, sech, p):
+    # the truncated bank against every term with |t - p k| <= 60, where
+    # both windows are below 1e-26
+    pts = np.linspace(-p - 0.4, p + 0.3, 23)
+    xis = np.linspace(0.0, 1.0 / p, 17)
+    for w in (gauss, sech):
+        kmax = math.ceil((60.0 + np.max(np.abs(pts))) / p) + 1
+        k = np.arange(-kmax, kmax + 1)
+        arg = pts[:, None] - p * k[None, :]
+        gv = np.where(np.abs(arg) <= 60.0, w(arg), 0.0)
+        ref = gv @ np.exp(2j * math.pi * p * np.outer(k, xis))
+        got = _zak_bank(w, p, pts, xis, 1e-10)
+        assert np.max(np.abs(got - ref)) < 1e-10
 
 
 # ------------------------------------------------------------------ A(xi)
@@ -151,3 +172,53 @@ def test_transfer_frame_bound_positive(gauss):
     lat = reduce("1/2", 1)
     lo, hi = transfer_frame_bound(gauss, lat, x=0.1)
     assert 0 < lo < hi
+
+
+@pytest.mark.parametrize("alpha", ["2/3", "5/7"])
+def test_transfer_frame_bound_matches_direct_sum(sech, ose, alpha):
+    # singular values of B(x, xi) from a direct sum over the whole xi grid
+    # of [0, 1/p]; the code evaluates only xi <= 1/(2p), by conjugation
+    lat = reduce(alpha, 1)
+    p, q, x = lat.p, lat.q, 0.1
+    xis = np.linspace(0.0, 1.0 / p, 129)
+    t = x + lat.alpha_float * np.arange(q)[:, None] - np.arange(p)[None, :]
+    k = np.arange(-80, 81)
+    for w in (sech, ose):
+        arg = t[..., None] - p * k
+        gv = np.where(np.abs(arg) <= 60.0, w(arg), 0.0)
+        B = np.einsum("abk,kn->nab", gv, np.exp(2j * math.pi * p * np.outer(k, xis)))
+        sig = np.linalg.svd(B, compute_uv=False)
+        lo, hi = transfer_frame_bound(w, lat, x=x)
+        assert lo == pytest.approx(np.min(sig[:, -1]) ** 2, rel=1e-9)
+        assert hi == pytest.approx(np.max(sig[:, 0]) ** 2, rel=1e-9)
+
+
+def test_transfer_window_chunks_agree(gauss, monkeypatch):
+    lat = reduce("5/7", 1)
+    xs = np.linspace(0.0, 1.0 / 7, 9)
+    whole = transfer_window(gauss, lat, xs)
+    monkeypatch.setattr(zibulski, "_TRANSFER_CHUNK", 1)  # one x per chunk
+    for a, b in zip(whole, transfer_window(gauss, lat, xs)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", ["9/8", "3/2"])
+def test_transfer_frame_bound_rank_deficient(gauss, alpha):
+    # q < p: the q x p matrix has rank at most q, so the lower bound is 0
+    lat = reduce(alpha, 1)
+    lo, hi = transfer_frame_bound(gauss, lat, x=0.1)
+    assert lo == 0.0
+    assert hi > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 12), p=st.integers(1, 24),
+       x=st.floats(0.0, 1.0, exclude_max=True))
+def test_transfer_window_one_over_q_periodic(gauss, q, p, x):
+    # alpha*Z + Z = Z/q, so the spectrum of P(x) has period 1/q in x
+    g = math.gcd(p, q)
+    lat = RationalLattice(p=p // g, q=q // g)
+    lo, hi = transfer_frame_bound(gauss, lat, x=x)
+    lo_s, hi_s = transfer_frame_bound(gauss, lat, x=x + 1.0 / lat.q)
+    assert abs(lo - lo_s) <= 1e-12
+    assert abs(hi - hi_s) <= 1e-12
