@@ -2,7 +2,7 @@
 
 from .windows import (DecayProfile, Dilated, FiniteProduct, Gaussian,
                       HyperbolicSecant, OneSidedExp, TPWindow, WindowError,
-                      evaluate, tp_samples_matrix, truncation_radius,
+                      tp_samples_matrix, truncation_radius,
                       two_sided_exponential, window_from_config)
 from .zak import (ZakError, ZakValue, ZakZero, ZakZeroNotFound, locate_zero,
                   zak, zak_on_half_line, zak_values)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DecayProfile", "Dilated", "FiniteProduct", "Gaussian",
     "HyperbolicSecant", "OneSidedExp", "TPWindow", "WindowError",
-    "evaluate", "tp_samples_matrix", "truncation_radius",
+    "tp_samples_matrix", "truncation_radius",
     "two_sided_exponential", "window_from_config",
     "ZakError", "ZakValue", "ZakZero", "ZakZeroNotFound", "locate_zero",
     "zak", "zak_on_half_line", "zak_values",

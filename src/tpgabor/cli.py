@@ -19,14 +19,17 @@ import numpy as np
 
 from .lattice import LatticeError, as_fraction, choose_M, reduce, select_perturbation
 from .pipeline import PipelineOptions, diagnose, diagnosis_min_sigma, effective_window
-from .pregramian import frame_bounds
-from .tpmatrix import build_G, alternating_witness, tp_minor_audit
+from .pregramian import PregramianError, frame_bounds
+from .tpmatrix import TPMatrixError, build_G, alternating_witness, tp_minor_audit
 from .windows import WindowError, window_from_config
-from .zak import ZakZeroNotFound, locate_zero, zak_values
-from .zibulski import _A_stack
+from .zak import ZakError, ZakZeroNotFound, locate_zero, zak_values
+from .zibulski import ZibulskiError, _A_stack
 
 EXIT_BAD_CONFIG = 64
 _VERDICT_EXIT = {"Frame": 0, "NotFrame": 1, "Inconclusive": 2}
+# failures of one scan point that the scan records as an "Error" row
+_DOMAIN_ERRORS = (LatticeError, WindowError, ZakError, ZibulskiError,
+                  PregramianError, TPMatrixError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -132,10 +135,11 @@ def _scan_point(job):
                 "alphabeta": str(lat.alpha), "verdict": diag.verdict,
                 "A_est": diag.lower_bound_est,
                 "min_sigma": diagnosis_min_sigma(diag), "error": ""}
-    except Exception as e:  # record the failure, keep scanning
+    except _DOMAIN_ERRORS as e:  # record the failure, keep scanning
         return {"alpha": alpha_str, "beta": beta_str,
                 "alphabeta": str(lat.alpha), "verdict": "Error",
-                "A_est": None, "min_sigma": None, "error": str(e)}
+                "A_est": None, "min_sigma": None,
+                "error": f"{type(e).__name__}: {e}"}
 
 
 def cmd_scan(args) -> int:
@@ -263,7 +267,7 @@ def cmd_audit(args) -> int:
     opts = _options(args)
     g = effective_window(w, lat)
     pert = _pert_for(g, lat, args.x, opts)
-    sec = build_G(g, pert, K=args.K, tail_tol=opts.tail_tol)
+    sec = build_G(g, pert, K=args.K)
     rep = tp_minor_audit(sec, n_max=args.n_max, trials=args.trials,
                          seed=args.seed)
     payload = {"trials": rep.trials, "n_max": rep.n_max,

@@ -60,19 +60,12 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     """Run the full certification pipeline for one reduced lattice."""
     opts.validate()
     g = effective_window(w, lat)
-    alpha = lat.alpha
-    evidence = []
-
-    if alpha >= 1:
-        diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
+    if lat.alpha >= 1:
+        return frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
                             J_ladder=opts.J_ladder, tail_tol=opts.tail_tol)
-        return FrameDiagnosis(verdict=diag.verdict,
-                              lower_bound_est=diag.lower_bound_est,
-                              upper_bound_est=diag.upper_bound_est,
-                              worst_x=diag.worst_x,
-                              evidence=evidence + diag.evidence)
 
     # Zak zero certificate
+    evidence = []
     x0 = 0.5
     try:
         zz = locate_zero(g, grid_n=opts.zak_grid_n, zero_tol=opts.zero_tol)

@@ -72,8 +72,7 @@ class InverseDecayFit:
     profile: np.ndarray
 
 
-def build_G(w: TPWindow, pert: PerturbationSeq, K: int,
-            tail_tol: float = 1e-10) -> MatrixSection:
+def build_G(w: TPWindow, pert: PerturbationSeq, K: int) -> MatrixSection:
     """(2K+1) x (2K+1) section of G_{kl} = g(k + delta_k - l), k,l in [-K,K]."""
     if K < pert.p:
         raise TPMatrixError("section must cover at least one period: K >= p")

@@ -20,51 +20,32 @@ class WindowError(ValueError):
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Pointwise envelope C*exp(-rate*|t|) or C*(1+|t|)^(-rate).
-
-    ``kind`` is "exp" or "poly"; for "poly" the rate must exceed 1 so that
-    lattice sums of the envelope converge.
-    """
+    """Pointwise envelope C*exp(-rate*|t|)."""
 
     C: float
     rate: float
-    kind: str = "exp"
 
     def __post_init__(self):
         if self.C <= 0 or self.rate <= 0:
             raise WindowError("envelope constants must be positive")
-        if self.kind not in ("exp", "poly"):
-            raise WindowError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "poly" and self.rate <= 1:
-            raise WindowError("polynomial envelope needs rate > 1")
 
     def envelope(self, t):
         t = np.abs(np.asarray(t, dtype=float))
-        if self.kind == "exp":
-            return self.C * np.exp(-self.rate * t)
-        return self.C * (1.0 + t) ** (-self.rate)
+        return self.C * np.exp(-self.rate * t)
 
     def tail_radius(self, tol: float) -> int:
         """Smallest certified R with sum_{|k|>R} sup_{x in [0,1]} env(x-k) < tol."""
         if tol <= 0:
             raise WindowError("tol must be positive")
-        if self.kind == "exp":
-            lam = self.rate
-            # sum_{k>R} C e^{-lam(k-1)} + sum_{k<-R} C e^{-lam k} <= 2C e^{-lam R}/(1-e^{-lam})
-            r = math.log(2.0 * self.C / ((1.0 - math.exp(-lam)) * tol)) / lam
-            return max(1, math.ceil(r))
-        sig = self.rate
-        # integral tail bound, both sides
-        r = 1.0 + (2.0 * self.C / ((sig - 1.0) * tol)) ** (1.0 / (sig - 1.0))
+        lam = self.rate
+        # sum_{k>R} C e^{-lam(k-1)} + sum_{k<-R} C e^{-lam k} <= 2C e^{-lam R}/(1-e^{-lam})
+        r = math.log(2.0 * self.C / ((1.0 - math.exp(-lam)) * tol)) / lam
         return max(1, math.ceil(r))
 
     def tail_sum(self, R: int) -> float:
         """Certified upper bound for the tail sum beyond radius R."""
-        if self.kind == "exp":
-            lam = self.rate
-            return 2.0 * self.C * math.exp(-lam * R) / (1.0 - math.exp(-lam))
-        sig = self.rate
-        return 2.0 * self.C * (R - 1.0) ** (1.0 - sig) / (sig - 1.0) if R > 1 else math.inf
+        lam = self.rate
+        return 2.0 * self.C * math.exp(-lam * R) / (1.0 - math.exp(-lam))
 
 
 class TPWindow:
@@ -192,8 +173,6 @@ class FiniteProduct(TPWindow):
     def _partial_fractions(self):
         """Residues A_j of prod 1/(1+nu_j s) for simple poles, else None."""
         nus = self.nus
-        if not nus:
-            return None
         for i in range(len(nus)):
             for j in range(i + 1, len(nus)):
                 if abs(nus[i] - nus[j]) <= 1e-12 * max(abs(nus[i]), abs(nus[j])):
@@ -208,9 +187,9 @@ class FiniteProduct(TPWindow):
         return tuple(coeffs)
 
     def _build_decay(self) -> DecayProfile:
-        rates = [1.0 / abs(v) for v in self.nus] if self.nus else []
+        rates = [1.0 / abs(v) for v in self.nus]
         tau = abs(self._shift)
-        if self.has_closed_form and self.gamma == 0.0:
+        if self.has_closed_form:
             lam = min(rates)
             C = self.c * sum(abs(a) / abs(v) for a, v in zip(self._pf, self.nus))
             return DecayProfile(C=C * math.exp(lam * tau), rate=lam)
@@ -298,11 +277,8 @@ class Dilated(TPWindow):
         if self.b <= 0:
             raise WindowError("dilation factor must be positive")
         d = self.base.decay
-        object.__setattr__(
-            self, "decay",
-            DecayProfile(C=d.C / math.sqrt(self.b),
-                         rate=d.rate / self.b if d.kind == "exp" else d.rate,
-                         kind=d.kind))
+        object.__setattr__(self, "decay", DecayProfile(C=d.C / math.sqrt(self.b),
+                                                       rate=d.rate / self.b))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -353,11 +329,6 @@ def window_from_config(cfg: dict) -> TPWindow:
                          nus=tuple(cfg.get("nus", ())),
                          nu=float(cfg.get("nu", 0.0)),
                          c=float(cfg.get("c", 1.0)))
-
-
-def evaluate(w: TPWindow, t):
-    """Evaluate the window at t (scalar or array)."""
-    return w(t)
 
 
 def truncation_radius(w: TPWindow, tol: float) -> int:

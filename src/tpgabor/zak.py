@@ -1,8 +1,10 @@
-"""Truncated Zak transforms with certified tails and zero location.
+"""The truncated Zak kernel, with certified tails, and zero location.
 
 Z_p g(x, xi) = sum_k g(x - p k) e^{2 pi i p k xi}, truncated at a radius
 derived from the window's decay envelope so the reported truncation error
-is a certified bound.
+is a certified bound.  :func:`zak_bank` is the one place the sum is
+written; the point values here, the Zak-zero scan and the A(xi) and
+B(x, xi) matrices of :mod:`tpgabor.zibulski` are all evaluated through it.
 """
 from __future__ import annotations
 
@@ -49,9 +51,16 @@ class ZakZero:
     residual: float
 
 
-def _kmax(w: TPWindow, p: float, xabs: float, tol: float) -> int:
+def zak_bank(w: TPWindow, p: float, points: np.ndarray, xis,
+             tol: float) -> np.ndarray:
+    """Z_p g(point, xi) for every (point, xi) pair; shape (npts, nxi)."""
     R = truncation_radius(w, tol)
-    return int(math.ceil((R + xabs) / min(p, 1.0))) + 2
+    # every omitted term has |point - p k| > R, so the tail stays below tol
+    K = int(math.ceil((R + float(np.max(np.abs(points), initial=0.0))) / p)) + 2
+    k = np.arange(-K, K + 1)
+    gmat = w(points[:, None] - p * k[None, :])
+    phases = np.exp(2j * math.pi * p * np.outer(k, xis))
+    return gmat @ phases
 
 
 def zak_values(w: TPWindow, p: float, xs, xi: float, tol: float = 1e-12):
@@ -59,11 +68,7 @@ def zak_values(w: TPWindow, p: float, xs, xi: float, tol: float = 1e-12):
     if p <= 0:
         raise ZakError("period p must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    K = _kmax(w, p, float(np.max(np.abs(xs))) if xs.size else 0.0, tol)
-    k = np.arange(-K, K + 1)
-    gvals = w(xs[:, None] - p * k[None, :])
-    phases = np.exp(2j * math.pi * p * k * xi)
-    return gvals @ phases
+    return zak_bank(w, p, xs, [xi], tol)[:, 0]
 
 
 def zak(w: TPWindow, p: float, x: float, xi: float, tol: float = 1e-12) -> ZakValue:
@@ -84,17 +89,6 @@ def zak_on_half_line(w: TPWindow, x: float, tol: float = 1e-12) -> float:
     return z.re
 
 
-def _zak_abs_grid(w: TPWindow, grid_n: int, tol: float) -> np.ndarray:
-    """|Zg| on the grid (i/n, j/n), returned as an (n, n) array [x, xi]."""
-    xs = np.arange(grid_n) / grid_n
-    K = _kmax(w, 1.0, 1.0, tol)
-    k = np.arange(-K, K + 1)
-    gmat = w(xs[:, None] - k[None, :])              # (n, nk)
-    xis = np.arange(grid_n) / grid_n
-    phases = np.exp(2j * math.pi * np.outer(k, xis))  # (nk, n)
-    return np.abs(gmat @ phases)
-
-
 def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
                 tol: float = 1e-12) -> ZakZero:
     """Locate the unique zero of Zg in [0,1)^2.
@@ -106,7 +100,8 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
     """
     if grid_n < 64:
         raise ZakError("grid_n must be at least 64")
-    A = _zak_abs_grid(w, grid_n, tol)
+    grid = np.arange(grid_n) / grid_n
+    A = np.abs(zak_bank(w, 1.0, grid, grid, tol))  # [x, xi]
     i0, j0 = np.unravel_index(np.argmin(A), A.shape)
     xi_cell = j0 / grid_n
 

@@ -1,10 +1,12 @@
-"""p x p matrix certificates A(xi) for injectivity of the perturbed matrix G.
+"""Zibulski-Zeevi matrices A(xi) and B(x, xi), built on the Zak kernel.
 
-A_{rs}(xi) = Z_p g(r + delta_r - s, xi) on xi in [0, 1/p].  Pointwise
+A_{rs}(xi) = Z_p g(r + delta_r - s, xi) on xi in [0, 1/p] is the p x p
+certificate for injectivity of the perturbed matrix G: pointwise
 invertibility of A certifies that G is one-to-one; the scan records both
 min |det A| (diagnostic) and min sigma_min (the certified quantity).
-The module also carries the q x p transfer matrix whose spectral window
-gives the pre-Gramian frame-bound estimates.
+B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi) is the q x p transfer matrix
+whose spectral window gives the pre-Gramian frame-bound estimates.  Both
+are banks of :func:`tpgabor.zak.zak_bank` values.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from .lattice import PerturbationSeq, RationalLattice
 from .windows import TPWindow, truncation_radius
+from .zak import zak_bank
 
 
 class ZibulskiError(RuntimeError):
@@ -29,7 +32,6 @@ _TRANSFER_CHUNK = 1 << 20  # complex entries per Zak bank, 16 MB
 class ZZMatrix:
     xi: float
     entries: np.ndarray
-    trunc_err: float
 
 
 @dataclass(frozen=True)
@@ -54,31 +56,15 @@ class FactorizationReport:
     xi_grid_n: int
 
 
-def _zak_bank(w: TPWindow, p: int, points: np.ndarray, xis: np.ndarray,
-              tol: float) -> np.ndarray:
-    """Z_p g(point, xi) for every (point, xi) pair; shape (npts, nxi)."""
-    R = truncation_radius(w, tol)
-    # every omitted term has |point - p k| > R, so the tail stays below tol
-    K = int(math.ceil((R + float(np.max(np.abs(points)))) / p)) + 2
-    k = np.arange(-K, K + 1)
-    gmat = w(points[:, None] - p * k[None, :])
-    phases = np.exp(2j * math.pi * p * np.outer(k, xis))
-    return gmat @ phases
-
-
 def zz_matrix(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
               xi: float, tol: float = 1e-10) -> ZZMatrix:
     """The p x p matrix A(xi) with entries Z_p g(r + delta_r - s, xi)."""
-    p = lat.p
-    if pert.p != p:
+    if pert.p != lat.p:
         raise ZibulskiError("perturbation period does not match lattice p")
-    if not -1e-12 <= xi <= 1.0 / p + 1e-12:
+    if not -1e-12 <= xi <= 1.0 / lat.p + 1e-12:
         raise ZibulskiError("xi must lie in [0, 1/p]")
-    rs = np.arange(p)
-    pts = np.array([[r + pert.delta(r) - s for s in rs] for r in rs], dtype=float)
-    vals = _zak_bank(w, p, pts.ravel(), np.array([xi]), tol)[:, 0]
-    return ZZMatrix(xi=float(xi), entries=vals.reshape(p, p),
-                    trunc_err=p * p * tol)
+    return ZZMatrix(xi=float(xi),
+                    entries=_A_stack(w, lat, pert, np.array([xi]), tol)[0])
 
 
 def _A_stack(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
@@ -86,17 +72,16 @@ def _A_stack(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     p = lat.p
     rs = np.arange(p)
     pts = np.array([[r + pert.delta(r) - s for s in rs] for r in rs], dtype=float)
-    bank = _zak_bank(w, p, pts.ravel(), xis, tol)  # (p*p, nxi)
+    bank = zak_bank(w, p, pts.ravel(), xis, tol)  # (p*p, nxi)
     return np.moveaxis(bank.reshape(p, p, len(xis)), 2, 0)  # (nxi, p, p)
 
 
 def _scan_min(w, lat, pert, xis, tol):
     A = _A_stack(w, lat, pert, xis, tol)
-    sigmas = np.linalg.svd(A, compute_uv=False)
-    smin = sigmas[:, -1]
-    dets = np.abs(np.linalg.det(A))
+    smin = np.linalg.svd(A, compute_uv=False)[:, -1]
+    dmin = float(np.min(np.abs(np.linalg.det(A))))
     i = int(np.argmin(smin))
-    return float(smin[i]), float(dets[np.argmin(dets)]), float(xis[i]), smin, dets
+    return float(smin[i]), dmin, float(xis[i]), smin
 
 
 def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
@@ -105,24 +90,24 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     """Scan sigma_min(A(xi)) and |det A(xi)| over [0, 1/p].
 
     Verdict "Invertible" requires min sigma above sigma_tol on the doubled
-    grid with the coarse/fine minima agreeing within 10%; the minimum is
-    then refined locally by two rounds of grid doubling.
+    grid with the coarse/fine minima agreeing within 10%; the coarse grid
+    is the even points of the doubled one.  The minimum is then refined
+    locally by two rounds of grid doubling.
     """
     if xi_grid_n < 128:
         raise ZibulskiError("xi_grid_n must be at least 128")
     p = lat.p
     hi = 1.0 / p
-    xis_c = np.linspace(0.0, hi, xi_grid_n + 1)
-    smin_c, _, _, _, _ = _scan_min(w, lat, pert, xis_c, tol)
     xis_f = np.linspace(0.0, hi, 2 * xi_grid_n + 1)
-    smin_f, dmin, arg, _, _ = _scan_min(w, lat, pert, xis_f, tol)
+    smin_f, dmin, arg, smins = _scan_min(w, lat, pert, xis_f, tol)
+    smin_c = float(np.min(smins[::2]))
 
     # local refinement around the argmin, two rounds of doubling
     h = hi / (2 * xi_grid_n)
     lo, up = max(0.0, arg - h), min(hi, arg + h)
     for _ in range(2):
         loc = np.linspace(lo, up, 33)
-        smin_l, dmin_l, arg, _, _ = _scan_min(w, lat, pert, loc, tol)
+        smin_l, dmin_l, arg, _ = _scan_min(w, lat, pert, loc, tol)
         smin_f = min(smin_f, smin_l)
         dmin = min(dmin, dmin_l)
         h = (up - lo) / 32
@@ -192,7 +177,7 @@ def _transfer_stack(w: TPWindow, lat: RationalLattice, xs: np.ndarray,
     """B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi); shape (nx, nxi, q, p)."""
     p, q = lat.p, lat.q
     offsets = lat.alpha_float * np.arange(q)[:, None] - np.arange(p)[None, :]
-    bank = _zak_bank(w, p, (xs[:, None, None] + offsets).ravel(), xis, tol)
+    bank = zak_bank(w, p, (xs[:, None, None] + offsets).ravel(), xis, tol)
     return np.moveaxis(bank.reshape(len(xs), q, p, len(xis)), 3, 1)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tpgabor import cli
+from tpgabor.zibulski import ZibulskiError
 
 GAUSS = '{"kind": "gaussian", "gamma": 3.141592653589793}'
 OSE = '{"kind": "one_sided_exp", "gamma": 1.0}'
@@ -95,6 +96,25 @@ def test_scan_parallel_matches_serial(tmp_path):
     _, serial = run(args + ["--jobs", "1"], tmp_path, "a")
     _, parallel = run(args + ["--jobs", "2"], tmp_path, "b")
     assert serial == parallel
+
+
+def test_scan_records_domain_errors_only(tmp_path, monkeypatch):
+    def fail(exc):
+        def diagnose(*args, **kwargs):
+            raise exc
+        return diagnose
+
+    args = ["scan", "--window", GAUSS, "--alphas", "1/2", "--jobs", "1"] + FAST
+    monkeypatch.setattr(cli, "diagnose", fail(ZibulskiError("no certificate")))
+    code, text = run(args, tmp_path)
+    assert code == 0
+    row = text.strip().split("\n")[2].split(",")
+    assert row[3] == "Error"
+    assert row[6] == "ZibulskiError: no certificate"
+    # a programming error is not a scan result
+    monkeypatch.setattr(cli, "diagnose", fail(TypeError("bug")))
+    with pytest.raises(TypeError):
+        run(args, tmp_path)
 
 
 # ------------------------------------------------------------------ bounds

@@ -6,7 +6,7 @@ import pytest
 
 from tpgabor.windows import Gaussian, OneSidedExp, truncation_radius
 from tpgabor.zak import (ZakError, ZakZeroNotFound, locate_zero, zak,
-                         zak_on_half_line, zak_values)
+                         zak_bank, zak_on_half_line, zak_values)
 
 # theta-type alternating sum: sum_k (-1)^k e^{-pi k^2}, 40-digit reference
 THETA_ALT = 0.9135791381561168
@@ -17,6 +17,33 @@ def brute_zak(w, p, x, xi, K=200):
     terms = [w(x - p * k) * cmath.exp(2j * math.pi * p * k * xi)
              for k in range(-K, K + 1)]
     return sum(terms)
+
+
+# ------------------------------------------------------------- the kernel
+
+LOCATE_ZERO_GRID = np.arange(64) / 64
+
+
+@pytest.mark.parametrize("p, pts, xis", [
+    *(pytest.param(p, np.linspace(-p - 0.4, p + 0.3, 23),
+                   np.linspace(0.0, 1.0 / p, 17), id=str(p)) for p in (1, 7, 15)),
+    # the (x, xi) grid that locate_zero scans
+    pytest.param(1, LOCATE_ZERO_GRID, LOCATE_ZERO_GRID, id="locate_zero_grid"),
+])
+def test_zak_bank_matches_direct_sum(gauss, sech, p, pts, xis):
+    # the truncated bank against every term with |t - p k| <= 60, where
+    # both windows are below 1e-26
+    for w in (gauss, sech):
+        kmax = math.ceil((60.0 + np.max(np.abs(pts))) / p) + 1
+        k = np.arange(-kmax, kmax + 1)
+        arg = pts[:, None] - p * k[None, :]
+        gv = np.where(np.abs(arg) <= 60.0, w(arg), 0.0)
+        ref = gv @ np.exp(2j * math.pi * p * np.outer(k, xis))
+        got = zak_bank(w, p, pts, xis, 1e-10)
+        assert np.max(np.abs(got - ref)) < 1e-10
+        # zak_values is one xi column of the same kernel, p > 1 included
+        assert np.max(np.abs(zak_values(w, p, pts, xis[5], 1e-10)
+                             - ref[:, 5])) < 1e-10
 
 
 # ------------------------------------------------------------ point values

@@ -9,31 +9,13 @@ from conftest import make_pert
 from tpgabor import zibulski
 from tpgabor.lattice import PerturbationSeq, RationalLattice, reduce
 from tpgabor.zak import zak
-from tpgabor.zibulski import (ZibulskiError, _zak_bank,
-                              fourier_factorization_check, injectivity_scan,
-                              transfer_frame_bound, transfer_window, zz_matrix)
+from tpgabor.zibulski import (ZibulskiError, fourier_factorization_check,
+                              injectivity_scan, transfer_frame_bound,
+                              transfer_window, zz_matrix)
 
 
 def const_pert(delta, x0=0.5, M=0, eps=0.1):
     return PerturbationSeq(deltas=(delta,), M=M, eps=eps, x=0.0, x0=x0)
-
-
-# -------------------------------------------------------------- Zak bank
-
-@pytest.mark.parametrize("p", [1, 7, 15])
-def test_zak_bank_matches_direct_sum(gauss, sech, p):
-    # the truncated bank against every term with |t - p k| <= 60, where
-    # both windows are below 1e-26
-    pts = np.linspace(-p - 0.4, p + 0.3, 23)
-    xis = np.linspace(0.0, 1.0 / p, 17)
-    for w in (gauss, sech):
-        kmax = math.ceil((60.0 + np.max(np.abs(pts))) / p) + 1
-        k = np.arange(-kmax, kmax + 1)
-        arg = pts[:, None] - p * k[None, :]
-        gv = np.where(np.abs(arg) <= 60.0, w(arg), 0.0)
-        ref = gv @ np.exp(2j * math.pi * p * np.outer(k, xis))
-        got = _zak_bank(w, p, pts, xis, 1e-10)
-        assert np.max(np.abs(got - ref)) < 1e-10
 
 
 # ------------------------------------------------------------------ A(xi)
