@@ -1,10 +1,17 @@
 """Command-line interface: diagnose, scan, bounds, zak, zzdet, witness, audit.
 
+The CLI parses, validates and formats; every number it prints comes from
+the library.  The lattice subcommands read their window, lattice and
+options through ``_setup``; the data commands anchor their perturbation
+at ``pipeline.zak_anchor``, as ``diagnose`` does.  The option flags are
+generated from ``PipelineOptions`` and have no defaults of their own.
+
 All outputs are deterministic for a fixed configuration: iteration orders
 are fixed, randomized audits take an explicit seed, and scan workers are
 assembled in input order regardless of completion order.
 
-Exit codes: 0 = Frame, 1 = NotFrame, 2 = Inconclusive, 64 = bad config.
+Exit codes: 0 = Frame, 1 = NotFrame, 2 = Inconclusive, 64 = bad input
+(a malformed flag, config file, window spec or TPGABOR_JOBS value).
 """
 from __future__ import annotations
 
@@ -12,18 +19,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from multiprocessing import Pool
 
 import numpy as np
 
-from .lattice import LatticeError, as_fraction, choose_M, reduce, select_perturbation
-from .pipeline import PipelineOptions, diagnose, diagnosis_min_sigma, effective_window
+from .lattice import LatticeError, as_fraction, reduce, select_perturbation
+from .pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
+                       effective_window, zak_anchor)
 from .pregramian import PregramianError, frame_bounds
 from .tpmatrix import TPMatrixError, build_G, alternating_witness, tp_minor_audit
 from .windows import WindowError, window_from_config
-from .zak import ZakError, ZakZeroNotFound, locate_zero, zak_values
-from .zibulski import ZibulskiError, _A_stack
+from .zak import ZakError, zak_values
+from .zibulski import ZibulskiError, a_landscape
 
 EXIT_BAD_CONFIG = 64
 _VERDICT_EXIT = {"Frame": 0, "NotFrame": 1, "Inconclusive": 2}
@@ -34,6 +43,13 @@ _DOMAIN_ERRORS = (LatticeError, WindowError, ZakError, ZibulskiError,
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as ConfigError (exit 64), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _load_window(spec: str):
@@ -69,19 +85,36 @@ def _parse_rational(text: str, name: str) -> Fraction:
     return frac
 
 
+def _ladder(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(","))
+
+
 def _options(args) -> PipelineOptions:
-    ladder = tuple(int(s) for s in str(args.j_ladder).split(","))
-    opts = PipelineOptions(
-        x_grid_n=args.x_grid_n, xi_grid_n=args.xi_grid_n,
-        J_ladder=ladder, zak_grid_n=args.zak_grid_n,
-        cert_x_grid_n=args.cert_x_grid_n,
-        tail_tol=args.tail_tol, zero_tol=args.zero_tol,
-        sigma_tol=args.sigma_tol)
+    """PipelineOptions from the flags given; absent flags keep its defaults."""
+    given = ((f.name, getattr(args, f.name.lower()))
+             for f in fields(PipelineOptions))
+    opts = PipelineOptions(**{k: v for k, v in given if v is not None})
     try:
         opts.validate()
     except ValueError as e:
         raise ConfigError(str(e))
     return opts
+
+
+def _setup(args, candidate=False):
+    """(window, reduced lattice, options) of a lattice subcommand.
+
+    ``candidate`` requires alpha*beta < 1 (the data commands plot
+    certificates that exist only there); otherwise alpha*beta <= 2.
+    """
+    w = _load_window(args.window)
+    lat = reduce(_parse_rational(args.alpha, "alpha"),
+                 _parse_rational(args.beta, "beta"))
+    if candidate:
+        lat.require_frame_candidate()
+    elif lat.alpha > 2:
+        raise ConfigError("alpha*beta outside the supported range (0, 2]")
+    return w, lat, _options(args)
 
 
 def _emit(text: str, path):
@@ -107,16 +140,11 @@ def _json_dump(obj) -> str:
 # ---------------------------------------------------------------- diagnose
 
 def cmd_diagnose(args) -> int:
-    w = _load_window(args.window)
-    lat = reduce(_parse_rational(args.alpha, "alpha"),
-                 _parse_rational(args.beta, "beta"))
-    if lat.alpha > 2:
-        raise ConfigError("alpha*beta outside the supported range (0, 2]")
-    opts = _options(args)
+    w, lat, opts = _setup(args)
     diag = diagnose(w, lat, opts)
     payload = diag.to_dict()
-    payload["alpha"] = str(_parse_rational(args.alpha, "alpha"))
-    payload["beta"] = str(_parse_rational(args.beta, "beta"))
+    payload["alpha"] = str(lat.alpha / lat.beta_original)
+    payload["beta"] = str(lat.beta_original)
     payload["alpha_beta"] = str(lat.alpha)
     _emit(_json_dump(payload), args.output)
     return _VERDICT_EXIT[diag.verdict]
@@ -125,44 +153,35 @@ def cmd_diagnose(args) -> int:
 # -------------------------------------------------------------------- scan
 
 def _scan_point(job):
-    window_cfg, alpha_str, beta_str, opts_kw = job
-    w = window_from_config(window_cfg)
-    lat = reduce(as_fraction(alpha_str), as_fraction(beta_str))
-    opts = PipelineOptions(**opts_kw)
+    """One CSV row: alpha, beta, alphabeta, verdict, A_est, min_sigma, error."""
+    w, alpha_str, beta_str, lat, opts = job
+    row = [alpha_str, beta_str, str(lat.alpha)]
     try:
         diag = diagnose(w, lat, opts)
-        return {"alpha": alpha_str, "beta": beta_str,
-                "alphabeta": str(lat.alpha), "verdict": diag.verdict,
-                "A_est": diag.lower_bound_est,
-                "min_sigma": diagnosis_min_sigma(diag), "error": ""}
     except _DOMAIN_ERRORS as e:  # record the failure, keep scanning
-        return {"alpha": alpha_str, "beta": beta_str,
-                "alphabeta": str(lat.alpha), "verdict": "Error",
-                "A_est": None, "min_sigma": None,
-                "error": f"{type(e).__name__}: {e}"}
+        return row + ["Error", None, None, f"{type(e).__name__}: {e}"]
+    return row + [diag.verdict, diag.lower_bound_est,
+                  diagnosis_min_sigma(diag), ""]
 
 
 def cmd_scan(args) -> int:
     w = _load_window(args.window)
     beta = _parse_rational(args.beta, "beta")
-    alphas = [s.strip() for s in args.alphas.split(",") if s.strip()] \
-        if args.alphas else []
-    for a in alphas:
-        ab = _parse_rational(a, "alpha") * beta
-        if not 0 < ab <= 2:
-            raise ConfigError(f"alpha*beta = {ab} outside (0, 2]")
+    alphas = [s.strip() for s in args.alphas.split(",") if s.strip()]
+    lats = [reduce(_parse_rational(a, "alpha"), beta) for a in alphas]
+    for lat in lats:
+        if lat.alpha > 2:
+            raise ConfigError(f"alpha*beta = {lat.alpha} outside (0, 2]")
     opts = _options(args)
-    jobs = args.jobs or int(os.environ.get("TPGABOR_JOBS", "1"))
-    work = [(w.config(), a, str(beta), opts.__dict__.copy()) for a in alphas]
-    if jobs > 1 and len(work) > 1:
-        with Pool(processes=jobs) as pool:
+    work = [(w, a, str(beta), lat, opts) for a, lat in zip(alphas, lats)]
+    if (args.jobs or 1) > 1 and len(work) > 1:
+        with Pool(processes=args.jobs) as pool:
             rows = pool.map(_scan_point, work)
     else:
         rows = [_scan_point(j) for j in work]
-    cols = ["alpha", "beta", "alphabeta", "verdict", "A_est", "min_sigma", "error"]
-    lines = ["# schema=tpgabor-scan-v1", ",".join(cols)]
-    for r in rows:
-        lines.append(",".join(_fmt(r[c]) for c in cols))
+    lines = ["# schema=tpgabor-scan-v1",
+             "alpha,beta,alphabeta,verdict,A_est,min_sigma,error"]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -171,14 +190,8 @@ def cmd_scan(args) -> int:
 
 def cmd_bounds(args) -> int:
     """Frame bounds from the transfer window, cross-checked by the ladder."""
-    w = _load_window(args.window)
-    lat = reduce(_parse_rational(args.alpha, "alpha"),
-                 _parse_rational(args.beta, "beta"))
-    if lat.alpha > 2:
-        raise ConfigError("alpha*beta outside the supported range (0, 2]")
-    opts = _options(args)
-    g = effective_window(w, lat)
-    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
+    w, lat, opts = _setup(args)
+    diag = frame_bounds(effective_window(w, lat), lat, x_grid_n=opts.x_grid_n,
                         J_ladder=opts.J_ladder, tail_tol=opts.tail_tol)
     trace = next((e for e in diag.evidence if e.get("kind") == "sigma_ladder"), None)
     payload = {"verdict": diag.verdict, "A_est": diag.lower_bound_est,
@@ -195,11 +208,12 @@ def cmd_zak(args) -> int:
     n = args.grid_n
     if n < 8:
         raise ConfigError("zak grid_n must be >= 8")
+    tol = _options(args).tail_tol
     xs = np.arange(n) / n
     xis = np.arange(n) / n
     lines = ["# schema=tpgabor-zak-v1", "x,xi,re,im,abs"]
     for xi in xis:
-        zs = zak_values(w, 1.0, xs, float(xi), args.tail_tol)
+        zs = zak_values(w, 1.0, xs, float(xi), tol)
         for x, z in zip(xs, zs):
             lines.append(f"{float(x)!r},{float(xi)!r},{float(z.real)!r},"
                          f"{float(z.imag)!r},{float(abs(z))!r}")
@@ -209,29 +223,14 @@ def cmd_zak(args) -> int:
 
 # ------------------------------------------------------------------- zzdet
 
-def _pert_for(w, lat, x, opts):
-    try:
-        zz = locate_zero(w, grid_n=opts.zak_grid_n, zero_tol=opts.zero_tol)
-        x0 = zz.x0
-    except ZakZeroNotFound as e:
-        x0 = float(e.argmin[0]) % 1.0 if e.argmin is not None else 0.5
-    return select_perturbation(lat, x, x0, M=choose_M(x0 % 1.0))
-
-
 def cmd_zzdet(args) -> int:
-    w = _load_window(args.window)
-    lat = reduce(_parse_rational(args.alpha, "alpha"),
-                 _parse_rational(args.beta, "beta"))
-    lat.require_frame_candidate()
-    opts = _options(args)
+    w, lat, opts = _setup(args, candidate=True)
     g = effective_window(w, lat)
-    pert = _pert_for(g, lat, args.x, opts)
+    pert = select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
     xis = np.linspace(0.0, 1.0 / lat.p, opts.xi_grid_n + 1)
-    A = _A_stack(g, lat, pert, xis, opts.tail_tol)
-    sig = np.linalg.svd(A, compute_uv=False)
-    dets = np.abs(np.linalg.det(A))
+    sig, dets = a_landscape(g, lat, pert, xis, opts.tail_tol)
     lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
-    for xi, d, s in zip(xis, dets, sig[:, -1]):
+    for xi, d, s in zip(xis, dets, sig):
         lines.append(f"{float(xi)!r},{float(d)!r},{float(s)!r}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -240,13 +239,9 @@ def cmd_zzdet(args) -> int:
 # ----------------------------------------------------------------- witness
 
 def cmd_witness(args) -> int:
-    w = _load_window(args.window)
-    lat = reduce(_parse_rational(args.alpha, "alpha"),
-                 _parse_rational(args.beta, "beta"))
-    lat.require_frame_candidate()
-    opts = _options(args)
+    w, lat, opts = _setup(args, candidate=True)
     g = effective_window(w, lat)
-    pert = _pert_for(g, lat, args.x, opts)
+    pert = select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
     wit = alternating_witness(g, pert, K=args.K, tail_tol=opts.tail_tol)
     lines = ["# schema=tpgabor-witness-v1", "k,u"]
     for k, u in zip(wit.ks, wit.u):
@@ -260,13 +255,9 @@ def cmd_witness(args) -> int:
 # ------------------------------------------------------------------- audit
 
 def cmd_audit(args) -> int:
-    w = _load_window(args.window)
-    lat = reduce(_parse_rational(args.alpha, "alpha"),
-                 _parse_rational(args.beta, "beta"))
-    lat.require_frame_candidate()
-    opts = _options(args)
+    w, lat, opts = _setup(args, candidate=True)
     g = effective_window(w, lat)
-    pert = _pert_for(g, lat, args.x, opts)
+    pert = select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
     sec = build_G(g, pert, K=args.K)
     rep = tp_minor_audit(sec, n_max=args.n_max, trials=args.trials,
                          seed=args.seed)
@@ -279,70 +270,48 @@ def cmd_audit(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(sp):
-    sp.add_argument("--window", help="window JSON spec, @file, or *.json path")
-    sp.add_argument("--alpha", default="1/2")
-    sp.add_argument("--beta", default="1")
-    sp.add_argument("--tail-tol", type=float, default=1e-10)
-    sp.add_argument("--zero-tol", type=float, default=1e-10)
-    sp.add_argument("--sigma-tol", type=float, default=1e-8)
-    sp.add_argument("--x-grid-n", type=int, default=64)
-    sp.add_argument("--xi-grid-n", type=int, default=128)
-    sp.add_argument("--zak-grid-n", type=int, default=256)
-    sp.add_argument("--cert-x-grid-n", type=int, default=16)
-    sp.add_argument("--j-ladder", default="16,32,64")
-    sp.add_argument("--output", default=None)
-    sp.add_argument("--config", default=None,
-                    help="JSON config file; explicit flags win")
-
-
 def build_parser(defaults=None) -> argparse.ArgumentParser:
     """The CLI parser; ``defaults`` (e.g. from --config) override flag defaults."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tpgabor",
         description="Gabor frame certification for totally positive windows "
                     "over rational lattices")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("diagnose", help="full certification pipeline")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_diagnose)
+    def add(name, func, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        sp.add_argument("--window", help="window JSON spec, @file, or *.json path")
+        sp.add_argument("--alpha", default="1/2")
+        sp.add_argument("--beta", default="1")
+        for f in fields(PipelineOptions):  # no default: see _options
+            sp.add_argument("--" + f.name.lower().replace("_", "-"),
+                            type=_ladder if f.name == "J_ladder" else type(f.default))
+        sp.add_argument("--output", default=None)
+        sp.add_argument("--config", default=None,
+                        help="JSON config file; explicit flags win")
+        return sp
 
-    sp = sub.add_parser("scan", help="phase-diagram scan over alpha values")
-    _add_common(sp)
+    add("diagnose", cmd_diagnose, "full certification pipeline")
+    sp = add("scan", cmd_scan, "phase-diagram scan over alpha values")
     sp.add_argument("--alphas", required=True,
                     help="comma-separated rationals, e.g. 1/8,2/8,3/8")
-    sp.add_argument("--jobs", type=int, default=None)
-    sp.set_defaults(func=cmd_scan)
-
-    sp = sub.add_parser("bounds", help="frame-bound estimate only")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_bounds)
-
-    sp = sub.add_parser("zak", help="Zak transform heatmap CSV")
-    _add_common(sp)
+    sp.add_argument("--jobs", type=int, default=os.environ.get("TPGABOR_JOBS"),
+                    help="worker processes (default: $TPGABOR_JOBS, else 1)")
+    add("bounds", cmd_bounds, "frame-bound estimate only")
+    sp = add("zak", cmd_zak, "Zak transform heatmap CSV")
     sp.add_argument("--grid-n", type=int, default=128)
-    sp.set_defaults(func=cmd_zak)
-
-    sp = sub.add_parser("zzdet", help="injectivity landscape CSV")
-    _add_common(sp)
+    sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV")
     sp.add_argument("--x", type=float, default=0.0)
-    sp.set_defaults(func=cmd_zzdet)
-
-    sp = sub.add_parser("witness", help="alternating witness vector")
-    _add_common(sp)
+    sp = add("witness", cmd_witness, "alternating witness vector")
     sp.add_argument("--x", type=float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
-    sp.set_defaults(func=cmd_witness)
-
-    sp = sub.add_parser("audit", help="randomized TP minor audit")
-    _add_common(sp)
+    sp = add("audit", cmd_audit, "randomized TP minor audit")
     sp.add_argument("--x", type=float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_audit)
     for sp in sub.choices.values():
         sp.set_defaults(**(defaults or {}))
     return ap
@@ -360,19 +329,18 @@ def _read_config(path) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.config:
             # config values become the subcommand's defaults, so explicit
-            # flags win and string values go through each flag's type
+            # flags win and every value goes through its flag's type
             known = set(vars(args)) - {"command", "func", "config"}
-            cfg = {k.replace("-", "_"): v
+            cfg = {k.replace("-", "_"): v if isinstance(v, str) else json.dumps(v)
                    for k, v in _read_config(args.config).items()}
             args = build_parser({k: v for k, v in cfg.items()
                                  if k in known}).parse_args(argv)
         return args.func(args)
-    except (ConfigError, LatticeError, OSError) as e:
+    except (ConfigError, LatticeError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

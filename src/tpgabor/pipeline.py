@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import RationalLattice, choose_M, select_perturbation
+from .lattice import RationalLattice, select_perturbation
 from .pregramian import (FrameDiagnosis, VERDICT_FRAME, VERDICT_INCONCLUSIVE,
                          frame_bounds)
 from .tpmatrix import TPMatrixError, alternating_witness
@@ -32,7 +32,6 @@ class PipelineOptions:
     tail_tol: float = 1e-10
     zero_tol: float = 1e-10
     sigma_tol: float = 1e-8
-    witness_K: int = 16
 
     def validate(self):
         if min(self.tail_tol, self.zero_tol, self.sigma_tol) <= 0:
@@ -55,45 +54,47 @@ def effective_window(w: TPWindow, lat: RationalLattice) -> TPWindow:
     return w if b == 1.0 else Dilated(base=w, b=b)
 
 
+def zak_anchor(g: TPWindow, opts: PipelineOptions) -> tuple:
+    """The anchor x0 of the admissible intervals and its ``zak_zero`` record.
+
+    x0 is the located Zak zero; a window outside the unique-zero hypothesis
+    (one-sided exponential) admits any interval, so it is anchored at the
+    |Zg| grid minimizer mod 1, or at 0.5 when the scan reports none.
+    """
+    try:
+        zz = locate_zero(g, grid_n=opts.zak_grid_n, zero_tol=opts.zero_tol)
+    except ZakZeroNotFound as e:
+        x0 = float(e.argmin[0]) % 1.0 if e.argmin is not None else 0.5
+        return x0, {"kind": "zak_zero", "x0": None, "min_abs": e.min_abs,
+                    "detail": "no Zak zero below tolerance; using the "
+                              "|Zg| minimizer as interval anchor"}
+    return zz.x0, {"kind": "zak_zero", "x0": zz.x0, "xi0": zz.xi0,
+                   "residual": zz.residual}
+
+
 def diagnose(w: TPWindow, lat: RationalLattice,
              opts: PipelineOptions = PipelineOptions()) -> FrameDiagnosis:
     """Run the full certification pipeline for one reduced lattice."""
     opts.validate()
     g = effective_window(w, lat)
+    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
+                        J_ladder=opts.J_ladder, tail_tol=opts.tail_tol)
     if lat.alpha >= 1:
-        return frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
-                            J_ladder=opts.J_ladder, tail_tol=opts.tail_tol)
+        return diag
 
-    # Zak zero certificate
-    evidence = []
-    x0 = 0.5
-    try:
-        zz = locate_zero(g, grid_n=opts.zak_grid_n, zero_tol=opts.zero_tol)
-        x0 = zz.x0
-        evidence.append({"kind": "zak_zero", "x0": zz.x0, "xi0": zz.xi0,
-                         "residual": zz.residual})
-    except ZakZeroNotFound as e:
-        # window outside the unique-zero hypothesis (one-sided exponential):
-        # any admissible interval works; anchor it at the |Zg| minimizer
-        if e.argmin is not None:
-            x0 = float(e.argmin[0]) % 1.0
-        evidence.append({"kind": "zak_zero", "x0": None,
-                         "min_abs": e.min_abs,
-                         "detail": "no Zak zero below tolerance; using the "
-                                   "|Zg| minimizer as interval anchor"})
+    x0, zak_zero = zak_anchor(g, opts)
+    evidence = [zak_zero]
 
     # surjectivity witness + injectivity certificate over a certificate grid
-    M = choose_M(x0 % 1.0)
     xs = np.arange(opts.cert_x_grid_n) / opts.cert_x_grid_n
     min_nu = float("inf")
     min_sigma = float("inf")
     all_invertible = True
     witness_fail = None
     for x in xs:
-        pert = select_perturbation(lat, float(x), x0, M=M)
+        pert = select_perturbation(lat, float(x), x0)
         try:
-            wit = alternating_witness(g, pert, K=opts.witness_K,
-                                      tail_tol=opts.tail_tol)
+            wit = alternating_witness(g, pert, K=16, tail_tol=opts.tail_tol)
             min_nu = min(min_nu, wit.nu)
         except TPMatrixError as e:
             witness_fail = str(e)
@@ -108,8 +109,6 @@ def diagnose(w: TPWindow, lat: RationalLattice,
                      "all_invertible": all_invertible,
                      "x_grid_n": opts.cert_x_grid_n})
 
-    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
-                        J_ladder=opts.J_ladder, tail_tol=opts.tail_tol)
     verdict = diag.verdict
     if verdict == VERDICT_FRAME and not (all_invertible and witness_fail is None):
         # certificates disagree with the bound estimate: refuse to certify

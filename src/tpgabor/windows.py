@@ -313,22 +313,35 @@ def window_from_config(cfg: dict) -> TPWindow:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise WindowError("window config must be a dict with a 'kind' key")
     kind = cfg["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise WindowError(f"unknown window kind {kind!r}")
     if kind == "gaussian":
-        return Gaussian(gamma=float(cfg.get("gamma", math.pi)))
+        return Gaussian(gamma=_number(cfg.get("gamma", math.pi), "gamma"))
     if kind == "one_sided_exp":
-        return OneSidedExp(gamma=float(cfg.get("gamma", 1.0)))
+        return OneSidedExp(gamma=_number(cfg.get("gamma", 1.0), "gamma"))
     if kind == "sech":
-        return HyperbolicSecant(a=float(cfg.get("a", 1.0)))
+        return HyperbolicSecant(a=_number(cfg.get("a", 1.0), "a"))
     if kind == "two_sided_exp":
-        return two_sided_exponential(rate=float(cfg.get("rate", 1.0)))
+        return two_sided_exponential(rate=_number(cfg.get("rate", 1.0), "rate"))
     if kind == "dilated":
-        return Dilated(base=window_from_config(cfg["base"]), b=float(cfg["b"]))
-    return FiniteProduct(gamma=float(cfg.get("gamma", 0.0)),
-                         nus=tuple(cfg.get("nus", ())),
-                         nu=float(cfg.get("nu", 0.0)),
-                         c=float(cfg.get("c", 1.0)))
+        return Dilated(base=window_from_config(cfg.get("base")),
+                       b=_number(cfg.get("b"), "b"))
+    nus = cfg.get("nus", ())
+    if not isinstance(nus, (list, tuple)):
+        raise WindowError(f"window config field 'nus' is not a list: {nus!r}")
+    return FiniteProduct(gamma=_number(cfg.get("gamma", 0.0), "gamma"),
+                         nus=tuple(_number(v, "nus") for v in nus),
+                         nu=_number(cfg.get("nu", 0.0), "nu"),
+                         c=_number(cfg.get("c", 1.0), "c"))
+
+
+def _number(value, key: str) -> float:
+    """A window config field as a float; a missing field arrives as None."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise WindowError(f"window config field {key!r} is missing or not "
+                          f"a number: {value!r}") from None
 
 
 def truncation_radius(w: TPWindow, tol: float) -> int:

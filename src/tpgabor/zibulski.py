@@ -76,12 +76,17 @@ def _A_stack(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     return np.moveaxis(bank.reshape(p, p, len(xis)), 2, 0)  # (nxi, p, p)
 
 
-def _scan_min(w, lat, pert, xis, tol):
+def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
+                xis: np.ndarray, tol: float) -> tuple:
+    """The arrays (sigma_min(A(xi)), |det A(xi)|) over xis."""
     A = _A_stack(w, lat, pert, xis, tol)
-    smin = np.linalg.svd(A, compute_uv=False)[:, -1]
-    dmin = float(np.min(np.abs(np.linalg.det(A))))
+    return np.linalg.svd(A, compute_uv=False)[:, -1], np.abs(np.linalg.det(A))
+
+
+def _scan_min(w, lat, pert, xis, tol):
+    smin, dets = a_landscape(w, lat, pert, xis, tol)
     i = int(np.argmin(smin))
-    return float(smin[i]), dmin, float(xis[i]), smin
+    return float(smin[i]), float(np.min(dets)), float(xis[i]), smin
 
 
 def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,

@@ -1,9 +1,15 @@
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from tpgabor import cli
-from tpgabor.zibulski import ZibulskiError
+from tpgabor.lattice import reduce, select_perturbation
+from tpgabor.pipeline import PipelineOptions, zak_anchor
+from tpgabor.tpmatrix import alternating_witness
+from tpgabor.windows import OneSidedExp
+from tpgabor.zibulski import ZibulskiError, a_landscape
 
 GAUSS = '{"kind": "gaussian", "gamma": 3.141592653589793}'
 OSE = '{"kind": "one_sided_exp", "gamma": 1.0}'
@@ -159,6 +165,21 @@ def test_zzdet_domain(tmp_path):
     assert all(float(r.split(",")[2]) > 0 for r in rows)
 
 
+def test_zzdet_columns_are_a_landscape(tmp_path, gauss):
+    code, text = run(["zzdet", "--window", GAUSS, "--alpha", "2/3",
+                      "--x", "0.1", "--xi-grid-n", "128"], tmp_path)
+    assert code == 0
+    rows = np.array([[float(v) for v in ln.split(",")]
+                     for ln in text.strip().split("\n")[2:]])
+    lat = reduce("2/3", 1)
+    pert = select_perturbation(lat, 0.1, zak_anchor(gauss, PipelineOptions())[0])
+    xis = np.linspace(0.0, 0.5, 129)
+    sig, dets = a_landscape(gauss, lat, pert, xis, 1e-10)
+    assert np.array_equal(rows[:, 0], xis)
+    assert np.array_equal(rows[:, 1], dets)
+    assert np.array_equal(rows[:, 2], sig)
+
+
 def test_witness_output(tmp_path):
     code, text = run(["witness", "--window", GAUSS, "--alpha", "2/3",
                       "--x", "0.1"], tmp_path)
@@ -169,6 +190,20 @@ def test_witness_output(tmp_path):
     us = [float(ln.split(",")[1]) for ln in text.strip().split("\n")
           if "," in ln and not ln.startswith(("#", "k,"))]
     assert all(a * b < 0 for a, b in zip(us, us[1:]))
+
+
+def test_witness_without_zak_zero(tmp_path):
+    # the one-sided exponential has no Zak zero: the anchor is the |Zg|
+    # minimizer, the same one diagnose uses
+    code, text = run(["witness", "--window", OSE, "--alpha", "2/3",
+                      "--x", "0.25"], tmp_path)
+    assert code == 0
+    g = OneSidedExp(gamma=1.0)
+    x0, record = zak_anchor(g, PipelineOptions())
+    assert record["x0"] is None
+    pert = select_perturbation(reduce("2/3", 1), 0.25, x0)
+    nu_line = next(ln for ln in text.split("\n") if ln.startswith("# nu="))
+    assert float(nu_line.split("=")[1]) == alternating_witness(g, pert, K=16).nu
 
 
 def test_audit_passes(tmp_path):
@@ -182,7 +217,7 @@ def test_audit_passes(tmp_path):
 
 # ----------------------------------------------------------- configuration
 
-def test_bad_configs_exit_64(tmp_path):
+def test_bad_configs_exit_64(tmp_path, monkeypatch):
     cases = [
         ["diagnose", "--alpha", "1/2"],                       # missing window
         ["diagnose", "--window", "{not json", "--alpha", "1/2"],
@@ -191,16 +226,59 @@ def test_bad_configs_exit_64(tmp_path):
         ["diagnose", "--window", '{"kind": "haar"}', "--alpha", "1/2"],
         ["diagnose", "--window", GAUSS, "--alpha", "1/2", "--tail-tol", "-1"],
         ["zzdet", "--window", GAUSS, "--alpha", "3/2"],       # not a candidate
+        ["diagnose", "--window", '{"kind": "gaussian", "gamma": "abc"}'],
+        ["diagnose", "--window", '{"kind": "dilated", "base": {"kind": "sech"}}'],
+        ["diagnose", "--window", '{"kind": "finite_product", "nus": "ab"}'],
+        ["diagnose", "--window", '{"kind": ["gaussian"]}'],
+        ["zak", "--window", GAUSS, "--tail-tol", "-1"],
     ]
     for argv in cases:
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 64
+    monkeypatch.setenv("TPGABOR_JOBS", "abc")
+    assert cli.main(["scan", "--window", GAUSS, "--alphas", "1/2",
+                     "--output", str(tmp_path / "x")]) == 64
+
+
+def test_malformed_arguments_exit_64(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x_grid_n": "abc"}))
+    cfg_float = tmp_path / "cfg_float.json"
+    cfg_float.write_text(json.dumps({"x_grid_n": 16.5}))
+    cases = [
+        ["diagnose", "--window", GAUSS, "--x-grid-n", "abc"],
+        ["diagnose", "--window", GAUSS, "--j-ladder", "a,b"],
+        ["scan", "--window", GAUSS],                          # no --alphas
+        ["diagnose", "--window", GAUSS, "--no-such-flag"],
+        ["no-such-command"],
+        ["bounds", "--window", GAUSS, "--config", str(cfg)],
+        ["bounds", "--window", GAUSS, "--config", str(cfg_float)],
+    ]
+    for argv in cases:
+        assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 64
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diagnose", "--help"])
+    assert exc.value.code == 0
+
+
+def test_option_flags_mirror_pipeline_options():
+    # one flag per PipelineOptions field and no default of its own, so a
+    # new field cannot get a second default in the CLI
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if a.dest == "command")
+    for sp in sub.choices.values():
+        for f in fields(PipelineOptions):
+            flags = [a for a in sp._actions if a.dest == f.name.lower()]
+            assert len(flags) == 1 and flags[0].default is None
+    args = ap.parse_args(["diagnose", "--window", GAUSS])
+    assert cli._options(args) == PipelineOptions()
 
 
 def test_decimal_alpha_warns(tmp_path, capsys):
     code, text = run(["diagnose", "--window", GAUSS, "--alpha", "0.5"] + FAST,
                      tmp_path)
     assert code == 0
-    assert "rationalized" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len([ln for ln in err.splitlines() if "rationalized" in ln]) == 1
 
 
 def test_window_from_file(tmp_path):
@@ -243,9 +321,13 @@ def test_config_file_errors_exit_64(tmp_path):
     bad.write_text("{not json")
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
-    for path in (bad, arr, tmp_path / "missing.json"):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for path in (bad, arr, tmp_path / "missing.json", binary):
         assert cli.main(["bounds", "--config", str(path), "--window", GAUSS,
                          "--output", str(tmp_path / "x")]) == 64
+    assert cli.main(["bounds", "--window", f"@{binary}",
+                     "--output", str(tmp_path / "x")]) == 64
 
 
 def test_determinism_repeat_runs(tmp_path):

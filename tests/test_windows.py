@@ -180,3 +180,11 @@ def test_window_from_config_errors():
         window_from_config({"kind": "finite_product", "nus": []})
     with pytest.raises(WindowError):
         window_from_config({"not": "a window"})
+    # missing or non-numeric fields are domain errors, not KeyError/ValueError
+    for cfg in ({"kind": "gaussian", "gamma": "abc"},
+                {"kind": "dilated", "base": {"kind": "gaussian"}},
+                {"kind": "finite_product", "nus": "ab"},
+                {"kind": "finite_product", "nus": [1.0, None]},
+                {"kind": ["gaussian"]}):
+        with pytest.raises(WindowError):
+            window_from_config(cfg)
