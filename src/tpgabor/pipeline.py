@@ -8,6 +8,7 @@ with every certificate attached.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,8 +86,14 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     x0, zak_zero = zak_anchor(g, opts)
     evidence = [zak_zero]
 
-    # surjectivity witness + injectivity certificate over a certificate grid
-    xs = np.arange(opts.cert_x_grid_n) / opts.cert_x_grid_n
+    # surjectivity witness + injectivity certificate over a certificate grid.
+    # Both depend on x only mod 1/q (the perturbation at x + 1/q is a cyclic
+    # relabelling of the one at x), and grid points i/n, j/n share a class
+    # iff n/gcd(n, q) divides i - j: one point per class is evaluated.
+    # [-K, K] holds every residue mod p, so the witness sees a whole period.
+    n = opts.cert_x_grid_n
+    xs = np.arange(n // math.gcd(n, lat.q)) / n
+    K = max(16, lat.p // 2)
     min_nu = float("inf")
     min_sigma = float("inf")
     all_invertible = True
@@ -94,7 +101,7 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     for x in xs:
         pert = select_perturbation(lat, float(x), x0)
         try:
-            wit = alternating_witness(g, pert, K=16, tail_tol=opts.tail_tol)
+            wit = alternating_witness(g, pert, K=K, tail_tol=opts.tail_tol)
             min_nu = min(min_nu, wit.nu)
         except TPMatrixError as e:
             witness_fail = str(e)

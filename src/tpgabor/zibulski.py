@@ -97,13 +97,19 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     Verdict "Invertible" requires min sigma above sigma_tol on the doubled
     grid with the coarse/fine minima agreeing within 10%; the coarse grid
     is the even points of the doubled one.  The minimum is then refined
-    locally by two rounds of grid doubling.
+    locally by two rounds of grid doubling, which may cross 1/(2p).
+
+    g is real, so A(1/p - xi) = conj A(xi) has the same singular values and
+    determinant modulus, and only the doubled-grid points with xi <= 1/(2p)
+    are evaluated.  The mirror of point i is 2 xi_grid_n - i, of the same
+    parity, so both the coarse and the fine minimum are those of the whole
+    grid.
     """
     if xi_grid_n < 128:
         raise ZibulskiError("xi_grid_n must be at least 128")
     p = lat.p
     hi = 1.0 / p
-    xis_f = np.linspace(0.0, hi, 2 * xi_grid_n + 1)
+    xis_f = np.linspace(0.0, hi, 2 * xi_grid_n + 1)[:xi_grid_n + 1]
     smin_f, dmin, arg, smins = _scan_min(w, lat, pert, xis_f, tol)
     smin_c = float(np.min(smins[::2]))
 

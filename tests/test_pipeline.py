@@ -1,9 +1,18 @@
-import pytest
+import math
 
-from tpgabor.lattice import reduce
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tpgabor import pipeline
+from tpgabor.lattice import RationalLattice, reduce, select_perturbation
 from tpgabor.pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
-                              effective_window)
-from tpgabor.windows import Dilated
+                              effective_window, zak_anchor)
+from tpgabor.pregramian import FrameDiagnosis
+from tpgabor.tpmatrix import alternating_witness
+from tpgabor.windows import Dilated, Gaussian
+from tpgabor.zak import zak_on_half_line
+from tpgabor.zibulski import InjectivityCertificate, injectivity_scan
 
 FAST = PipelineOptions(x_grid_n=16, cert_x_grid_n=2, J_ladder=(8, 16, 32))
 
@@ -50,3 +59,80 @@ def test_diagnose_beta_reduction_equivalence(gauss):
     a = diagnose(gauss, reduce("1/2", 1), FAST)
     b = diagnose(gauss, reduce("1/4", 2), FAST)
     assert a.verdict == b.verdict == "Frame"
+
+
+def test_diagnose_witness_covers_whole_period():
+    # p = 35 > 33: a witness on [-16, 16] sees 33 of the 35 residues, so
+    # min_nu must be the minimum of |Zg(delta_r, 1/2)| over the whole period
+    opts = PipelineOptions(x_grid_n=16, cert_x_grid_n=1, J_ladder=(8, 16, 32))
+    g, lat = Gaussian(), reduce("35/36", 1)
+    diag = diagnose(g, lat, opts)
+    min_nu = next(e["min_nu"] for e in diag.evidence
+                  if e["kind"] == "alternating_witness")
+    x0, _ = zak_anchor(g, opts)
+    pert = select_perturbation(lat, 0.0, x0)
+    ref = min(abs(zak_on_half_line(g, d, opts.tail_tol)) for d in pert.deltas)
+    assert abs(min_nu - ref) <= 10 * opts.tail_tol
+
+
+@pytest.fixture(scope="module")
+def anchored(gauss, sech, tsexp, ose):
+    return {name: (w, zak_anchor(w, PipelineOptions())[0])
+            for name, w in (("gauss", gauss), ("sech", sech),
+                            ("tsexp", tsexp), ("ose", ose))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["gauss", "sech", "tsexp", "ose"]),
+       q=st.integers(2, 16), p=st.integers(1, 12),
+       x=st.floats(0.0, 1.0, exclude_max=True))
+def test_certificates_one_over_q_periodic(anchored, name, q, p, x):
+    # the perturbation at x + 1/q is a cyclic relabelling of the one at x,
+    # which is what lets diagnose run one certificate x per class mod 1/q
+    p = min(p, q - 1)
+    d = math.gcd(p, q)
+    lat = RationalLattice(p=p // d, q=q // d)
+    w, x0 = anchored[name]
+    tol = 1e-10
+    perts = [select_perturbation(lat, xx, x0) for xx in (x, x + 1.0 / lat.q)]
+    s0, s1 = (injectivity_scan(w, lat, pe, tol=tol).min_sigma for pe in perts)
+    assert abs(s0 - s1) <= 1e-12 * s0
+    K = max(16, lat.p // 2)
+    n0, n1 = (alternating_witness(w, pe, K=K, tail_tol=tol).nu for pe in perts)
+    assert abs(n0 - n1) <= 10 * tol
+
+
+def _count_perturbations(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return select_perturbation(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "select_perturbation", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", ["3/8", "2/3"])
+def test_diagnose_one_certificate_x_per_class(gauss, monkeypatch, alpha):
+    opts = PipelineOptions(x_grid_n=16, J_ladder=(8, 16, 32))
+    lat = reduce(alpha, 1)
+    calls = _count_perturbations(monkeypatch)
+    assert diagnose(gauss, lat, opts).verdict == "Frame"
+    n = opts.cert_x_grid_n
+    assert len(calls) == n // math.gcd(n, lat.q)
+
+
+def test_diagnose_one_certificate_x_at_q_128(gauss, monkeypatch):
+    # all 16 grid points fall in one class mod 1/128; the injectivity scan
+    # and the frame-bound estimate are stubbed, only the x count is taken
+    lat = reduce("127/128", 1)
+    calls = _count_perturbations(monkeypatch)
+    monkeypatch.setattr(pipeline, "frame_bounds", lambda *a, **k: FrameDiagnosis(
+        verdict="Frame", lower_bound_est=1.0, upper_bound_est=1.0, worst_x=0.0))
+    monkeypatch.setattr(pipeline, "injectivity_scan",
+                        lambda *a, **k: InjectivityCertificate(
+                            min_abs_det=1.0, argmin_xi=0.0, min_sigma=1.0,
+                            xi_grid_n=128, verdict="Invertible"))
+    diagnose(gauss, lat, PipelineOptions())
+    assert calls == [0.0]

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import make_pert
 from tpgabor import zibulski
-from tpgabor.lattice import PerturbationSeq, RationalLattice, reduce
+from tpgabor.lattice import (PerturbationSeq, RationalLattice, reduce,
+                             select_perturbation)
+from tpgabor.pipeline import PipelineOptions, zak_anchor
 from tpgabor.zak import zak
-from tpgabor.zibulski import (ZibulskiError, fourier_factorization_check,
-                              injectivity_scan, transfer_frame_bound,
-                              transfer_window, zz_matrix)
+from tpgabor.zibulski import (ZibulskiError, a_landscape,
+                              fourier_factorization_check, injectivity_scan,
+                              transfer_frame_bound, transfer_window, zz_matrix)
 
 
 def const_pert(delta, x0=0.5, M=0, eps=0.1):
@@ -146,6 +148,37 @@ def test_det_continuity_on_grid(gauss, gauss_pert_23):
     dets = np.abs(np.linalg.det(A))
     ratio = dets[1:] / dets[:-1]
     assert np.all(np.abs(ratio - 1.0) < 0.25)
+
+
+@pytest.mark.parametrize("name, alpha", [("sech", "5/8"), ("ose", "5/7")])
+def test_injectivity_half_grid_loses_nothing(request, name, alpha):
+    # A(1/p - xi) = conj A(xi): the scan of xi <= 1/(2p) finds the minima of
+    # the whole doubled grid of [0, 1/p]
+    w = request.getfixturevalue(name)
+    lat = reduce(alpha, 1)
+    pert = select_perturbation(lat, 0.1, zak_anchor(w, PipelineOptions())[0])
+    cert = injectivity_scan(w, lat, pert)
+    xis = np.linspace(0.0, 1.0 / lat.p, 2 * cert.xi_grid_n + 1)
+    smin, _ = a_landscape(w, lat, pert, xis, 1e-10)
+    coarse = np.min(smin[::2])
+    assert abs(cert.min_sigma_coarse - coarse) <= 1e-12 * coarse
+    assert cert.min_sigma <= np.min(smin) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("name, alpha", [("gauss", "3/8"), ("sech", "5/8"),
+                                         ("tsexp", "2/3"), ("ose", "5/7")])
+def test_injectivity_below_transfer_lower_bound(request, name, alpha):
+    # the rows of A(xi) are rows of B(x, xi) times unimodular phases, so at
+    # every certificate x of diagnose min_sigma^2 is at most the transfer A
+    w = request.getfixturevalue(name)
+    lat = reduce(alpha, 1)
+    opts = PipelineOptions()
+    x0, _ = zak_anchor(w, opts)
+    n = opts.cert_x_grid_n
+    for x in np.arange(n // math.gcd(n, lat.q)) / n:
+        pert = select_perturbation(lat, float(x), x0)
+        sigma = injectivity_scan(w, lat, pert).min_sigma
+        assert sigma ** 2 <= transfer_frame_bound(w, lat, float(x))[0] * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------- transfer
