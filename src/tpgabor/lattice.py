@@ -146,6 +146,11 @@ def select_perturbation(lat: RationalLattice, x: float, x0: float,
         M = choose_M(x0 % 1.0)
     p, q = lat.p, lat.q
     a = Fraction(p, q)
+    # distances |x + alpha j - (l + x0 + M - 1/2)| are compared exactly, as
+    # integers times the common denominator D q, so that ties go to the
+    # smaller j and not to whichever side rounding favours
+    offset = Fraction(float(x)) - Fraction(float(x0)) - M + Fraction(1, 2)
+    N, D = offset.numerator, offset.denominator
     deltas, js = [], []
     for l in range(p):
         lo = l + x0 + M - 1 + eps
@@ -156,8 +161,8 @@ def select_perturbation(lat: RationalLattice, x: float, x0: float,
             raise LatticeError(
                 "no admissible lattice point; interval length 1-2*eps > alpha "
                 "should guarantee one (implementation bug)")
-        center = 0.5 * (lo + hi)
-        j = min(range(jmin, jmax + 1), key=lambda jj: (abs(x + alpha * jj - center), jj))
+        j = min(range(jmin, jmax + 1),
+                key=lambda jj: (abs(N * q + (p * jj - l * q) * D), jj))
         point = x + float(a * j)
         if not (lo - 1e-12 <= point <= hi + 1e-12):
             raise LatticeError("selected point escaped the admissible interval")

@@ -1,11 +1,12 @@
 """Truncated pre-Gramian sections and frame-bound estimation.
 
 P(x)_{jk} = g(x + alpha j - k).  The frame bounds come from the exact q x p
-transfer window of P(x) (Zibulski-Zeevi) over one x-period [0, 1/q).  The
-verdict also requires the smallest singular value of interior-column
-restrictions of truncated sections, centred on the worst vector, to be
-stable across a ladder of truncation sizes, since infinite-matrix
-stability is only observable as truncation-stable behavior.
+transfer window of P(x) (Zibulski-Zeevi) over one x-period [0, 1/q), or
+over its half [0, 1/(2q)] for an even window, whose spectrum at x equals
+the one at 1/q - x.  The verdict also requires the smallest singular value
+of interior-column restrictions of truncated sections, centred on the worst
+vector, to be stable across a ladder of truncation sizes, since
+infinite-matrix stability is only observable as truncation-stable behavior.
 """
 from __future__ import annotations
 
@@ -70,15 +71,23 @@ def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
 
     The restriction drops one truncation radius of boundary columns so
     edge effects do not spuriously deflate the smallest singular value.
+    Only the kept columns are evaluated (the entries of the same columns of
+    :func:`pregramian_section`, bit for bit), and sigma_min^2 is the least
+    eigenvalue of the Gram matrix M^T M of the real, tall restriction M:
+    fewer flops than its SVD, with absolute rounding error about
+    n eps sigma_max^2 for n columns, far inside the ladder's 10% and 0.6
+    rules.
     """
-    sec = pregramian_section(w, lat, x, J, tail_tol)
+    if J < 1:
+        raise PregramianError("J must be at least 1")
+    alpha = lat.alpha_float
     R = truncation_radius(w, tail_tol)
-    K = (sec.entries.shape[1] - 1) // 2
     # a column k has full row support within |j| <= J only for |k| <= alpha*J - R
-    K_inner = max(int(math.floor(lat.alpha_float * J)) - R, 0)
-    sig = np.linalg.svd(sec.entries[:, K - K_inner:K + K_inner + 1],
-                        compute_uv=False)
-    return float(sig[-1]) ** 2
+    K_inner = max(int(math.floor(alpha * J)) - R, 0)
+    rows = x + alpha * np.arange(-J, J + 1)
+    ks = np.arange(-K_inner, K_inner + 1)
+    M = w(rows[:, None] - ks[None, :].astype(float))
+    return max(float(np.linalg.eigvalsh(M.T @ M)[0]), 0.0)
 
 
 def upper_bound_cert(w: TPWindow, alpha: float = 1.0, grid_n: int = 256,
@@ -102,11 +111,22 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     """Frame bounds from the transfer window, cross-checked by a ladder.
 
     A and B are the min of sigma_min^2 and the max of sigma_max^2 of the
-    q x p transfer window over x_grid_n points of one x-period [0, 1/q)
-    (the spectrum of P(x) is 1/q-periodic, as alpha*Z + Z = Z/q).  At an x
-    equivalent to the worst x, with the section centred on the worst
-    vector, the interior-restricted section bound runs over the truncation
-    ladder; Frame needs its last step to change by under 10%.
+    q x p transfer window over the x_grid_n points j/(x_grid_n q) of one
+    x-period [0, 1/q) (the spectrum of P(x) is 1/q-periodic, as
+    alpha*Z + Z = Z/q).
+
+    An even window (``w.even``) needs only j <= x_grid_n/2, one point per
+    mirror pair j <-> x_grid_n - j, so its worst_x lies in [0, 1/(2q)].
+    Z_p g(-y, xi) = conj Z_p g(y, xi) for even real g, so B(-x, xi)_{a'b'}
+    with a' = (q - a) mod q, b' = (p - b) mod p is conj B(x, xi)_{ab} up to
+    unimodular phases: alpha a' - b' = -(alpha a - b), up to +-p when
+    exactly one of a, b is 0, and that shift is a row phase times a column
+    phase, as Z_p g(y + p, xi) = exp(2 pi i p xi) Z_p g(y, xi).  So the
+    spectrum at -x, that is at 1/q - x, is the one at x.
+
+    At an x equivalent to the worst x, with the section centred on the
+    worst vector, the interior-restricted section bound runs over the
+    truncation ladder; Frame needs its last step to change by under 10%.
 
     alpha*beta >= 1 short-circuits to NotFrame by the density theorem
     (Balian-Low at equality for smooth windows); the one-sided exponential
@@ -137,7 +157,7 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     scale = max(1.0, (R + 4.0) / (lat.alpha_float * J_ladder[0]))
     J_ladder = tuple(int(math.ceil(J * scale)) for J in J_ladder)
 
-    xs = np.arange(x_grid_n) / (x_grid_n * lat.q)
+    xs = np.arange(x_grid_n // 2 + 1 if w.even else x_grid_n) / (x_grid_n * lat.q)
     lo, hi, xi_lo = transfer_window(w, lat, xs, TRANSFER_XI_GRID_N, tail_tol)
     worst = int(np.argmin(lo))
     A_est, B_est, worst_x = float(lo[worst]), float(np.max(hi)), float(xs[worst])

@@ -53,6 +53,16 @@ class TPWindow:
 
     decay: DecayProfile
 
+    @property
+    def even(self) -> bool:
+        """True when g(-t) = g(t) is known from the parameters.
+
+        Derived, never set: an even window's Zak transform satisfies
+        Z_p g(-y, xi) = conj Z_p g(y, xi), which halves the x grid of the
+        frame-bound window.  False means "not known to be even".
+        """
+        return False
+
     def __call__(self, t):
         raise NotImplementedError
 
@@ -73,6 +83,10 @@ class Gaussian(TPWindow):
         lam = 2.0 * self.gamma
         # sup_t exp(lam|t| - gamma t^2) = exp(lam^2/(4 gamma)) = exp(gamma)
         object.__setattr__(self, "decay", DecayProfile(C=math.exp(self.gamma), rate=lam))
+
+    @property
+    def even(self) -> bool:
+        return True
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -114,6 +128,10 @@ class HyperbolicSecant(TPWindow):
         if self.a <= 0:
             raise WindowError("HyperbolicSecant needs a > 0")
         object.__setattr__(self, "decay", DecayProfile(C=1.0, rate=self.a))
+
+    @property
+    def even(self) -> bool:
+        return True
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -165,6 +183,12 @@ class FiniteProduct(TPWindow):
     @property
     def _shift(self) -> float:
         return sum(self.nus) - self.nu
+
+    @property
+    def even(self) -> bool:
+        # nu = 0 and nus = -nus pair each factor with its mirror, so ghat
+        # is real and even: c exp(-gamma xi^2) prod 1/(1 + 4 pi^2 nu_j^2 xi^2)
+        return self.nu == 0.0 and sorted(self.nus) == sorted(-v for v in self.nus)
 
     @property
     def has_closed_form(self) -> bool:
@@ -279,6 +303,10 @@ class Dilated(TPWindow):
         d = self.base.decay
         object.__setattr__(self, "decay", DecayProfile(C=d.C / math.sqrt(self.b),
                                                        rate=d.rate / self.b))
+
+    @property
+    def even(self) -> bool:
+        return self.base.even
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

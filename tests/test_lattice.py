@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpgabor.lattice import (LatticeError, PerturbationSeq, RationalLattice,
                              as_fraction, choose_M, reduce,
@@ -138,6 +140,31 @@ def test_perturbation_js_increasing_within_window():
         assert js == sorted(js)
         assert len(set(js)) == len(js)
         assert p == 1 or js[-1] - js[0] < q
+
+
+def test_select_perturbation_exact_tie_goes_to_smaller_j():
+    # residue 1 at 2/3, x = 0: the points 2/3 (j = 1) and 4/3 (j = 2) are
+    # both 1/3 from the interval centre 1; in floating point |0.666...6 - 1|
+    # rounds above |1.333...3 - 1| and used to pick j = 2
+    pert = select_perturbation(reduce("2/3", 1), 0.0, 0.5)
+    assert pert.js == (0, 1)
+    assert pert.deltas[1] == pytest.approx(-1.0 / 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 4, 8]), p=st.integers(1, 7),
+       k=st.integers(0, 255))
+def test_perturbation_one_over_q_is_a_rotation(q, p, k):
+    # x + 1/q + alpha Z = x + alpha Z - m with p j0 = 1 + m q, so the
+    # perturbation at x + 1/q is the one at x relabelled: delta'_l =
+    # delta_{l + m}.  Dyadic x and q keep every value exact, ties included.
+    p = min(p, q - 1) | 1
+    lat = RationalLattice(p=p, q=q)
+    x = k / 256
+    m = (p * pow(p, -1, q) - 1) // q
+    base = select_perturbation(lat, x, 0.5).deltas
+    moved = select_perturbation(lat, x + 1.0 / q, 0.5).deltas
+    assert moved == tuple(base[(l + m) % p] for l in range(p))
 
 
 def test_perturbation_seq_validation():

@@ -2,13 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpgabor.lattice import reduce
+from tpgabor import pregramian
+from tpgabor.lattice import RationalLattice, reduce
 from tpgabor.pregramian import (PregramianError, frame_bounds,
                                 lower_bound_at_x, pregramian_section,
                                 upper_bound_cert)
-from tpgabor.windows import truncation_radius
-from tpgabor.zibulski import transfer_frame_bound
+from tpgabor.windows import (Dilated, FiniteProduct, Gaussian,
+                             HyperbolicSecant, truncation_radius,
+                             two_sided_exponential)
+from tpgabor.zibulski import transfer_frame_bound, transfer_window
+
+EVEN = {"gauss": Gaussian(gamma=math.pi), "sech": HyperbolicSecant(a=1.0),
+        "tsexp": two_sided_exponential(rate=1.0),
+        "fp4": FiniteProduct(nus=(1.0, -1.0, 0.5, -0.5), c=1.0),
+        "dilated": Dilated(base=Gaussian(gamma=math.pi), b=1.5)}
 
 
 # ---------------------------------------------------------------- sections
@@ -79,6 +89,35 @@ def test_lower_bound_tiny_section_by_hand(gauss):
     got = lower_bound_at_x(gauss, lat, x=x, J=1)
     col = gauss(np.array([x - 0.5, x, x + 0.5]))
     assert got == pytest.approx(float(np.sum(col ** 2)), rel=1e-12)
+
+
+def _interior_svd_bound(w, lat, x, J):
+    """sigma_min^2 of the interior columns of the full section, by SVD."""
+    sec = pregramian_section(w, lat, x, J)
+    R = truncation_radius(w, 1e-10)
+    K = (sec.shape[1] - 1) // 2
+    K_inner = max(int(math.floor(lat.alpha_float * J)) - R, 0)
+    cols = sec.entries[:, K - K_inner:K + K_inner + 1]
+    return float(np.linalg.svd(cols, compute_uv=False)[-1]) ** 2
+
+
+@pytest.mark.parametrize("alpha", ["1/2", "7/8"])
+@pytest.mark.parametrize("J", [16, 64])
+def test_lower_bound_gram_matches_svd(gauss, sech, tsexp, ose, alpha, J):
+    # the ladder evaluates only the interior columns and takes the least
+    # Gram eigenvalue; the SVD of the same columns of the full section agrees
+    lat = reduce(alpha, 1)
+    for w in (gauss, sech, tsexp, ose):
+        ref = _interior_svd_bound(w, lat, 0.3, J)
+        assert lower_bound_at_x(w, lat, 0.3, J) == pytest.approx(ref, rel=1e-9)
+
+
+def test_lower_bound_gram_matches_svd_critical(gauss):
+    # decaying case: sigma_min^2 falls to 6e-4 at J = 32
+    lat = reduce(1, 1)
+    for J in (8, 16, 32):
+        ref = _interior_svd_bound(gauss, lat, 0.5, J)
+        assert lower_bound_at_x(gauss, lat, 0.5, J) == pytest.approx(ref, rel=1e-9)
 
 
 def test_restriction_interlacing(gauss):
@@ -153,6 +192,48 @@ def test_cross_validation_with_transfer_bound(gauss):
     assert window["A"] == diag.lower_bound_est
     assert window["B"] == diag.upper_bound_est
     assert window["x_grid_n"] == 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(EVEN)), q=st.integers(2, 16),
+       p=st.integers(1, 12), t=st.floats(0.0, 1.0, exclude_max=True))
+def test_even_window_mirror_symmetry(name, q, p, t):
+    # even g: the spectrum of P(x) at x equals the one at 1/q - x
+    p = min(p, q - 1)
+    d = math.gcd(p, q)
+    lat = RationalLattice(p=p // d, q=q // d)
+    w = EVEN[name]
+    x = t / lat.q
+    lo0, hi0 = transfer_frame_bound(w, lat, x)
+    lo1, hi1 = transfer_frame_bound(w, lat, 1.0 / lat.q - x)
+    assert lo1 == pytest.approx(lo0, rel=1e-9)
+    assert hi1 == pytest.approx(hi0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name,alpha", [("gauss", "2/3"), ("sech", "5/8"),
+                                        ("tsexp", "3/4"), ("fp4", "1/2"),
+                                        ("dilated", "3/5"), ("ose", "2/3")])
+@pytest.mark.parametrize("x_grid_n", [16, 17])
+def test_frame_bounds_half_grid_for_even_windows(ose, monkeypatch, name,
+                                                 alpha, x_grid_n):
+    # an even window evaluates one x per mirror pair j <-> x_grid_n - j and
+    # loses nothing against the whole one-period grid
+    w = ose if name == "ose" else EVEN[name]
+    lat = reduce(alpha, 1)
+    seen = []
+
+    def counting(w, lat, xs, *args, **kwargs):
+        seen.append(len(xs))
+        return transfer_window(w, lat, xs, *args, **kwargs)
+
+    monkeypatch.setattr(pregramian, "transfer_window", counting)
+    diag = frame_bounds(w, lat, x_grid_n=x_grid_n, J_ladder=(8, 16, 32))
+    assert seen == [x_grid_n // 2 + 1 if w.even else x_grid_n]
+    full = transfer_window(w, lat, np.arange(x_grid_n) / (x_grid_n * lat.q))[0]
+    assert diag.lower_bound_est == pytest.approx(float(np.min(full)), rel=1e-9)
+    assert diag.evidence[1]["x_grid_n"] == x_grid_n
+    if w.even:
+        assert diag.worst_x <= 0.5 / lat.q
 
 
 def test_ladder_centred_on_worst_vector(gauss):

@@ -160,6 +160,24 @@ def test_dilated_window():
     assert np.all(np.abs(w(ts)) <= w.decay.envelope(ts) + 1e-14)
 
 
+def test_even_flags():
+    assert Gaussian(gamma=2.0).even and HyperbolicSecant(a=0.5).even
+    assert two_sided_exponential(rate=3.0).even
+    assert FiniteProduct(nus=(1.0, -1.0, 0.5, -0.5), c=1.0).even
+    assert Dilated(base=Gaussian(gamma=math.pi), b=2.0).even
+    assert not OneSidedExp(gamma=1.0).even
+    assert not FiniteProduct(nus=(1.0, -0.5, 0.25)).even
+    assert not FiniteProduct(nus=(1.0, -1.0), nu=0.25).even
+    assert not Dilated(base=OneSidedExp(gamma=1.0), b=2.0).even
+    # derived from the parameters, never set
+    with pytest.raises(AttributeError):
+        Gaussian().even = False
+    ts = np.linspace(-3, 3, 13)
+    for w in (two_sided_exponential(rate=3.0),
+              FiniteProduct(nus=(1.0, -1.0, 0.5, -0.5), c=1.0)):
+        assert w(-ts) == pytest.approx(w(ts), abs=1e-14)
+
+
 # ------------------------------------------------------------------ config
 
 def test_window_from_config_roundtrip():
