@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -83,6 +84,14 @@ def _parse_rational(text: str, name: str) -> Fraction:
         print(f"warning: {name} = {text} rationalized to {frac} "
               "(theory covers rational alpha*beta only)", file=sys.stderr)
     return frac
+
+
+def _finite_float(text: str) -> float:
+    """A float flag value; nan and +-inf are bad input, not a crash later."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text!r} is not a finite number")
+    return value
 
 
 def _ladder(text: str) -> tuple:
@@ -302,12 +311,12 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp = add("zak", cmd_zak, "Zak transform heatmap CSV")
     sp.add_argument("--grid-n", type=int, default=128)
     sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV")
-    sp.add_argument("--x", type=float, default=0.0)
+    sp.add_argument("--x", type=_finite_float, default=0.0)
     sp = add("witness", cmd_witness, "alternating witness vector")
-    sp.add_argument("--x", type=float, default=0.0)
+    sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
     sp = add("audit", cmd_audit, "randomized TP minor audit")
-    sp.add_argument("--x", type=float, default=0.0)
+    sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--trials", type=int, default=10000)

@@ -54,7 +54,7 @@ def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,
         raise PregramianError("J must be at least 1")
     alpha = lat.alpha_float
     R = truncation_radius(w, tail_tol)
-    K = int(math.ceil(alpha * J)) + R
+    K = -(-lat.p * J // lat.q) + R  # ceil(alpha J), exact
     js = np.arange(-J, J + 1)
     ks = np.arange(-K, K + 1)
     rows = x + alpha * js
@@ -71,22 +71,26 @@ def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
 
     The restriction drops one truncation radius of boundary columns so
     edge effects do not spuriously deflate the smallest singular value.
-    Only the kept columns are evaluated (the entries of the same columns of
-    :func:`pregramian_section`, bit for bit), and sigma_min^2 is the least
-    eigenvalue of the Gram matrix M^T M of the real, tall restriction M:
-    fewer flops than its SVD, with absolute rounding error about
-    n eps sigma_max^2 for n columns, far inside the ladder's 10% and 0.6
-    rules.
+    Only the kept columns are built.  Every entry g(x + alpha j - k) is
+    g(x + n/q) with n = p j - q k, so the window is evaluated once on that
+    lattice grid and the entries are gathered from it; they match those of
+    the same columns of :func:`pregramian_section` to rounding of the
+    argument, and an argument on a jump of the window (the one-sided
+    exponential's at 0) is exact, not rounded to either side.  sigma_min^2 is the least eigenvalue of the Gram matrix M^T M
+    of the real, tall restriction M: fewer flops than its SVD, with
+    absolute rounding error about n eps sigma_max^2 for n columns, far
+    inside the ladder's 10% and 0.6 rules.
     """
     if J < 1:
         raise PregramianError("J must be at least 1")
-    alpha = lat.alpha_float
+    p, q = lat.p, lat.q
     R = truncation_radius(w, tail_tol)
     # a column k has full row support within |j| <= J only for |k| <= alpha*J - R
-    K_inner = max(int(math.floor(alpha * J)) - R, 0)
-    rows = x + alpha * np.arange(-J, J + 1)
-    ks = np.arange(-K_inner, K_inner + 1)
-    M = w(rows[:, None] - ks[None, :].astype(float))
+    K_inner = max(p * J // q - R, 0)
+    n0 = p * J + q * K_inner
+    vals = w(x + np.arange(-n0, n0 + 1) / q)
+    n = p * np.arange(-J, J + 1)[:, None] - q * np.arange(-K_inner, K_inner + 1)
+    M = vals[n + n0]
     return max(float(np.linalg.eigvalsh(M.T @ M)[0]), 0.0)
 
 

@@ -6,7 +6,11 @@ invertibility of A certifies that G is one-to-one; the scan records both
 min |det A| (diagnostic) and min sigma_min (the certified quantity).
 B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi) is the q x p transfer matrix
 whose spectral window gives the pre-Gramian frame-bound estimates.  Both
-are banks of :func:`tpgabor.zak.zak_bank` values.
+are banks of :func:`tpgabor.zak.zak_bank` values.  The injectivity scan
+takes singular values of A(xi) by SVD, as its sigma_tol sits near the
+sqrt(eps) floor that a Gram matrix would impose; the transfer window takes
+the extreme eigenvalues of the Gram matrix of B(x, xi), since the frame
+bounds are squared singular values anyway.
 """
 from __future__ import annotations
 
@@ -204,8 +208,14 @@ def transfer_window(w: TPWindow, lat: RationalLattice, xs,
 
     g is real, so B(x, 1/p - xi) = conj B(x, xi) has the same singular
     values and only the grid points with xi <= 1/(2p) are evaluated.  The
-    x points share one Zak bank and one stacked SVD per chunk of at most
-    _TRANSFER_CHUNK matrix entries, which bounds the memory for large q p.
+    x points share one Zak bank per chunk of at most _TRANSFER_CHUNK matrix
+    entries, which bounds the memory for large q p.
+
+    The squared singular values are the eigenvalues of the Hermitian Gram
+    matrix of the smaller side, B^H B (p x p) when q >= p and B B^H
+    otherwise, taken by one stacked ``eigvalsh`` per chunk: no singular
+    vectors are formed.  The absolute rounding is about
+    min(p, q) eps sigma_max^2.
     """
     p, q = lat.p, lat.q
     xs = np.asarray(xs, dtype=float)
@@ -213,12 +223,13 @@ def transfer_window(w: TPWindow, lat: RationalLattice, xs,
     step = max(1, _TRANSFER_CHUNK // (q * p * len(xis)))
     lo, hi, xi_lo = np.zeros(len(xs)), np.empty(len(xs)), np.empty(len(xs))
     for i in range(0, len(xs), step):
-        sig = np.linalg.svd(_transfer_stack(w, lat, xs[i:i + step], xis, tol),
-                            compute_uv=False)
-        hi[i:i + step] = np.max(sig[..., 0], axis=1) ** 2
-        xi_lo[i:i + step] = xis[np.argmin(sig[..., -1], axis=1)]
+        B = _transfer_stack(w, lat, xs[i:i + step], xis, tol)
+        Bh = np.conj(np.swapaxes(B, -1, -2))
+        ev = np.linalg.eigvalsh(Bh @ B if q >= p else B @ Bh)  # ascending
+        hi[i:i + step] = np.max(ev[..., -1], axis=1)
+        xi_lo[i:i + step] = xis[np.argmin(ev[..., 0], axis=1)]
         if q >= p:
-            lo[i:i + step] = np.min(sig[..., -1], axis=1) ** 2
+            lo[i:i + step] = np.maximum(np.min(ev[..., 0], axis=1), 0.0)
     return lo, hi, xi_lo
 
 

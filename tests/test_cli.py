@@ -239,6 +239,18 @@ def test_bad_configs_exit_64(tmp_path, monkeypatch):
                      "--output", str(tmp_path / "x")]) == 64
 
 
+@pytest.mark.parametrize("command", ["zzdet", "witness", "audit"])
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_non_finite_x_exits_64(tmp_path, command, x):
+    argv = [command, "--window", GAUSS, "--alpha", "2/3", f"--x={x}",
+            "--output", str(tmp_path / "x")]
+    assert cli.main(argv) == 64
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x": x}))
+    assert cli.main([command, "--window", GAUSS, "--alpha", "2/3",
+                     "--config", str(cfg), "--output", str(tmp_path / "x")]) == 64
+
+
 def test_malformed_arguments_exit_64(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"x_grid_n": "abc"}))

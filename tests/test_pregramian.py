@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,61 @@ def test_lower_bound_gram_matches_svd_critical(gauss):
     for J in (8, 16, 32):
         ref = _interior_svd_bound(gauss, lat, 0.5, J)
         assert lower_bound_at_x(gauss, lat, 0.5, J) == pytest.approx(ref, rel=1e-9)
+
+
+def _direct_lower_bound(w, lat, x, J):
+    """The interior restriction built entry by entry as w(x + alpha j - k)."""
+    R = truncation_radius(w, 1e-10)
+    K_inner = max(lat.p * J // lat.q - R, 0)
+    rows = x + lat.alpha_float * np.arange(-J, J + 1)
+    ks = np.arange(-K_inner, K_inner + 1)
+    M = w(rows[:, None] - ks[None, :].astype(float))
+    ev = np.linalg.eigvalsh(M.T @ M)
+    # the Gram rounding is about n eps sigma_max^2 for n columns
+    return max(float(ev[0]), 0.0), len(ks) * np.finfo(float).eps * float(ev[-1])
+
+
+@pytest.mark.parametrize("alpha", ["1/2", "7/8", "2/3", "5/7", "23/24", "1"])
+@pytest.mark.parametrize("J", [16, 64])
+def test_lower_bound_lattice_grid_matches_direct(gauss, sech, tsexp, ose,
+                                                 alpha, J):
+    # the ladder gathers its entries from one sample of the window on the
+    # grid x + Z/q; a direct build agrees to 1e-13 relative plus the Gram
+    # rounding (sech, with sigma_max^2 / sigma_min^2 near 2000, differs by
+    # up to 4e-13 relative).  x = 0.37 keeps every argument off the
+    # one-sided exponential's jump at 0, where a rounded argument picks a side
+    lat = reduce(alpha, 1)
+    for w in (gauss, sech, tsexp, ose, EVEN["dilated"]):
+        for x in (0.0, 0.37) if w.even else (0.37,):
+            ref, rounding = _direct_lower_bound(w, lat, x, J)
+            got = lower_bound_at_x(w, lat, x, J)
+            assert abs(got - ref) <= 1e-13 * ref + rounding
+
+
+def test_lower_bound_one_sided_jump_at_exact_argument(ose):
+    # at 7/10 and x = 0.3 the entry (j, k) = (11, 8) sits on the jump at 0,
+    # where the window is 1; 0.3 + 0.7 * 11 - 8 rounds below 0 in floating
+    # point, but the lattice-grid argument 0.3 - 3/10 is exactly 0
+    lat = reduce("7/10", 1)
+    J = 64
+    R = truncation_radius(ose, 1e-10)
+    K_inner = 7 * J // 10 - R
+    args = [[Fraction(3, 10) + Fraction(7, 10) * j - k
+             for k in range(-K_inner, K_inner + 1)] for j in range(-J, J + 1)]
+    M = ose(np.array(args, dtype=float))
+    ref = float(np.linalg.eigvalsh(M.T @ M)[0])
+    assert lower_bound_at_x(ose, lat, 0.3, J) == pytest.approx(ref, rel=1e-13)
+
+
+def test_column_counts_are_exact_at_non_dyadic_alpha(gauss):
+    # alpha*J in floating point is 62.99999999999999 at 7/10, J = 90, and
+    # 27.000000000000004 at 9/14, J = 42; floor and ceil of it are one off
+    R = truncation_radius(gauss, 1e-10)
+    lat = reduce("7/10", 1)
+    ref, _ = _direct_lower_bound(gauss, lat, 0.3, 90)  # K_inner = 63 - R
+    assert lower_bound_at_x(gauss, lat, 0.3, 90) == pytest.approx(ref, rel=1e-13)
+    sec = pregramian_section(gauss, reduce("9/14", 1), 0.0, 42)
+    assert sec.shape == (85, 2 * (27 + R) + 1)
 
 
 def test_restriction_interlacing(gauss):

@@ -46,6 +46,27 @@ def test_zak_bank_matches_direct_sum(gauss, sech, p, pts, xis):
                              - ref[:, 5])) < 1e-10
 
 
+@pytest.mark.parametrize("p", [1, 8, 32])
+def test_zak_bank_flush_within_bound(gauss, sech, p):
+    # samples below tol * eps are flushed before the phase sum: each value
+    # moves by at most (2K + 1) tol eps against the unflushed sum of the
+    # same 2K + 1 terms
+    tol = 1e-10
+    pts = np.linspace(-p - 0.4, p + 0.3, 29)
+    xis = np.linspace(0.0, 1.0 / p, 9)
+    flushed = 0
+    for w in (gauss, sech):
+        R = truncation_radius(w, tol)
+        K = math.ceil((R + np.max(np.abs(pts))) / p) + 2
+        k = np.arange(-K, K + 1)
+        gv = w(pts[:, None] - p * k[None, :])
+        flushed += np.count_nonzero((gv != 0.0) & (np.abs(gv) < tol * np.finfo(float).eps))
+        ref = gv @ np.exp(2j * math.pi * p * np.outer(k, xis))
+        got = zak_bank(w, p, pts, xis, tol)
+        assert np.max(np.abs(got - ref)) <= (2 * K + 1) * tol * np.finfo(float).eps
+    assert flushed > 0
+
+
 # ------------------------------------------------------------ point values
 
 def test_gaussian_zak_vanishes_at_half_half(gauss):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pert
@@ -10,10 +10,18 @@ from tpgabor import zibulski
 from tpgabor.lattice import (PerturbationSeq, RationalLattice, reduce,
                              select_perturbation)
 from tpgabor.pipeline import PipelineOptions, zak_anchor
+from tpgabor.windows import (Dilated, Gaussian, HyperbolicSecant, OneSidedExp,
+                             two_sided_exponential)
 from tpgabor.zak import zak
-from tpgabor.zibulski import (ZibulskiError, a_landscape,
-                              fourier_factorization_check, injectivity_scan,
-                              transfer_frame_bound, transfer_window, zz_matrix)
+from tpgabor.zibulski import (TRANSFER_XI_GRID_N, ZibulskiError, _transfer_stack,
+                              a_landscape, fourier_factorization_check,
+                              injectivity_scan, transfer_frame_bound,
+                              transfer_window, zz_matrix)
+
+WINDOWS = {"gauss": Gaussian(gamma=math.pi), "sech": HyperbolicSecant(a=1.0),
+           "tsexp": two_sided_exponential(rate=1.0),
+           "ose": OneSidedExp(gamma=1.0),
+           "dilated": Dilated(base=HyperbolicSecant(a=1.0), b=0.7)}
 
 
 def const_pert(delta, x0=0.5, M=0, eps=0.1):
@@ -237,3 +245,37 @@ def test_transfer_window_one_over_q_periodic(gauss, q, p, x):
     lo_s, hi_s = transfer_frame_bound(gauss, lat, x=x + 1.0 / lat.q)
     assert abs(lo - lo_s) <= 1e-12
     assert abs(hi - hi_s) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(WINDOWS)), q=st.integers(1, 16),
+       p=st.integers(1, 12), t=st.floats(0.0, 1.0, exclude_max=True))
+@example(name="gauss", q=5, p=1, t=0.3)
+@example(name="sech", q=3, p=7, t=0.6)
+@example(name="ose", q=4, p=12, t=0.0)
+def test_transfer_window_matches_svd_reference(name, q, p, t):
+    # the Gram eigenvalues against the singular values of the same stack of
+    # B(x, xi) over the whole xi grid of [0, 1/p]; for q < p, A is 0
+    g = math.gcd(p, q)
+    lat = RationalLattice(p=p // g, q=q // g)
+    w = WINDOWS[name]
+    xs = (t + np.arange(3)) / (3 * lat.q)
+    xis = np.linspace(0.0, 1.0 / lat.p, TRANSFER_XI_GRID_N + 1)
+    sig = np.linalg.svd(_transfer_stack(w, lat, xs, xis, 1e-10), compute_uv=False)
+    hi_ref = np.max(sig[..., 0], axis=1) ** 2
+    lo_ref = np.min(sig[..., -1], axis=1) ** 2 if lat.q >= lat.p else np.zeros_like(hi_ref)
+    lo, hi, _ = transfer_window(w, lat, xs)
+    np.testing.assert_allclose(hi, hi_ref, rtol=0.0, atol=1e-12 * np.max(hi_ref))
+    np.testing.assert_allclose(lo, lo_ref, rtol=0.0, atol=1e-12 * np.max(hi_ref))
+
+
+def test_transfer_stack_has_no_subnormals_gaussian_31_32(gauss):
+    # one chunk of the frame_bounds grid at Gaussian 31/32: the Zak bank
+    # flushes window samples below tol * eps, so no product formed from it
+    # runs on subnormal numbers (26k subnormal parts without the flush)
+    lat = reduce("31/32", 1)
+    xs = np.arange(16) / (64 * lat.q)
+    xis = np.linspace(0.0, 1.0 / lat.p, TRANSFER_XI_GRID_N + 1)[:TRANSFER_XI_GRID_N // 2 + 1]
+    B = _transfer_stack(gauss, lat, xs, xis, 1e-10)
+    for part in (B.real, B.imag):
+        assert not np.any((part != 0.0) & (np.abs(part) < np.finfo(float).tiny))
