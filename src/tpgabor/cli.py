@@ -2,9 +2,9 @@
 
 The CLI parses, validates and formats; every number it prints comes from
 the library.  The lattice subcommands read their window, lattice and
-options through ``_setup``; the data commands anchor their perturbation
-at ``pipeline.zak_anchor``, as ``diagnose`` does.  The option flags are
-generated from ``PipelineOptions`` and have no defaults of their own.
+options through ``_setup``; the data commands add their perturbation
+through ``_perturbation``, anchored as in ``diagnose``.  The option flags
+are generated from ``PipelineOptions`` and have no defaults of their own.
 
 All outputs are deterministic for a fixed configuration: iteration orders
 are fixed, randomized audits take an explicit seed, and scan workers are
@@ -32,7 +32,7 @@ from .pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
 from .pregramian import PregramianError, frame_bounds
 from .tpmatrix import TPMatrixError, build_G, alternating_witness, tp_minor_audit
 from .windows import WindowError, window_from_config
-from .zak import ZakError, zak_values
+from .zak import ZakError, zak_bank
 from .zibulski import ZibulskiError, a_landscape
 
 EXIT_BAD_CONFIG = 64
@@ -126,6 +126,13 @@ def _setup(args, candidate=False):
     return w, lat, _options(args)
 
 
+def _perturbation(args):
+    """(dilated window, lattice, options, perturbation at --x) of a data command."""
+    w, lat, opts = _setup(args, candidate=True)
+    g = effective_window(w, lat)
+    return g, lat, opts, select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
+
+
 def _emit(text: str, path):
     if path:
         with open(path, "w") as fh:
@@ -217,13 +224,11 @@ def cmd_zak(args) -> int:
     n = args.grid_n
     if n < 8:
         raise ConfigError("zak grid_n must be >= 8")
-    tol = _options(args).tail_tol
-    xs = np.arange(n) / n
-    xis = np.arange(n) / n
+    grid = np.arange(n) / n
+    table = zak_bank(w, 1.0, grid, grid, _options(args).tail_tol)  # [x, xi]
     lines = ["# schema=tpgabor-zak-v1", "x,xi,re,im,abs"]
-    for xi in xis:
-        zs = zak_values(w, 1.0, xs, float(xi), tol)
-        for x, z in zip(xs, zs):
+    for xi, zs in zip(grid, table.T):
+        for x, z in zip(grid, zs):
             lines.append(f"{float(x)!r},{float(xi)!r},{float(z.real)!r},"
                          f"{float(z.imag)!r},{float(abs(z))!r}")
     _emit("\n".join(lines) + "\n", args.output)
@@ -233,9 +238,7 @@ def cmd_zak(args) -> int:
 # ------------------------------------------------------------------- zzdet
 
 def cmd_zzdet(args) -> int:
-    w, lat, opts = _setup(args, candidate=True)
-    g = effective_window(w, lat)
-    pert = select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
+    g, lat, opts, pert = _perturbation(args)
     xis = np.linspace(0.0, 1.0 / lat.p, opts.xi_grid_n + 1)
     sig, dets = a_landscape(g, lat, pert, xis, opts.tail_tol)
     lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
@@ -248,9 +251,7 @@ def cmd_zzdet(args) -> int:
 # ----------------------------------------------------------------- witness
 
 def cmd_witness(args) -> int:
-    w, lat, opts = _setup(args, candidate=True)
-    g = effective_window(w, lat)
-    pert = select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
+    g, _, opts, pert = _perturbation(args)
     wit = alternating_witness(g, pert, K=args.K, tail_tol=opts.tail_tol)
     lines = ["# schema=tpgabor-witness-v1", "k,u"]
     for k, u in zip(wit.ks, wit.u):
@@ -264,9 +265,7 @@ def cmd_witness(args) -> int:
 # ------------------------------------------------------------------- audit
 
 def cmd_audit(args) -> int:
-    w, lat, opts = _setup(args, candidate=True)
-    g = effective_window(w, lat)
-    pert = select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
+    g, _, _, pert = _perturbation(args)
     sec = build_G(g, pert, K=args.K)
     rep = tp_minor_audit(sec, n_max=args.n_max, trials=args.trials,
                          seed=args.seed)

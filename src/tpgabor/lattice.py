@@ -131,8 +131,9 @@ def select_perturbation(lat: RationalLattice, x: float, x0: float,
                         eps: float = None, M: int = None) -> PerturbationSeq:
     """Select the p-periodic perturbation by admissible-interval membership.
 
-    For each residue l = 0..p-1 finds j with x + (p/q) j in
-    [l + x0 + M - 1 + eps, l + x0 + M - eps] and sets delta_l = x + (p/q) j - l.
+    For each residue l = 0..p-1 takes the j with x + (p/q) j nearest the
+    centre of [l + x0 + M - 1 + eps, l + x0 + M - eps] and sets
+    delta_l = x + (p/q) j - l.
     eps defaults to (1-alpha)/4, M to the choice centering the interval at 0.
     """
     lat.require_frame_candidate()
@@ -145,26 +146,17 @@ def select_perturbation(lat: RationalLattice, x: float, x0: float,
     if M is None:
         M = choose_M(x0 % 1.0)
     p, q = lat.p, lat.q
-    a = Fraction(p, q)
-    # distances |x + alpha j - (l + x0 + M - 1/2)| are compared exactly, as
-    # integers times the common denominator D q, so that ties go to the
-    # smaller j and not to whichever side rounding favours
+    # the point of x + alpha*Z nearest the interval centre l + x0 + M - 1/2
+    # is admissible (the half-width 1/2 - eps exceeds alpha/2).  With
+    # x - x0 - M + 1/2 = N/D exactly, j rounds q (l D - N) / (p D) in integers,
+    # ties to the smaller j, not to whichever side floating point favours
     offset = Fraction(float(x)) - Fraction(float(x0)) - M + Fraction(1, 2)
     N, D = offset.numerator, offset.denominator
     deltas, js = [], []
     for l in range(p):
-        lo = l + x0 + M - 1 + eps
-        hi = l + x0 + M - eps
-        jmin = math.ceil((lo - x) / alpha - 1e-12)
-        jmax = math.floor((hi - x) / alpha + 1e-12)
-        if jmax < jmin:
-            raise LatticeError(
-                "no admissible lattice point; interval length 1-2*eps > alpha "
-                "should guarantee one (implementation bug)")
-        j = min(range(jmin, jmax + 1),
-                key=lambda jj: (abs(N * q + (p * jj - l * q) * D), jj))
-        point = x + float(a * j)
-        if not (lo - 1e-12 <= point <= hi + 1e-12):
+        j = -((p * D - 2 * q * (l * D - N)) // (2 * p * D))
+        point = x + float(Fraction(p * j, q))
+        if not l + x0 + M - 1 + eps - 1e-12 <= point <= l + x0 + M - eps + 1e-12:
             raise LatticeError("selected point escaped the admissible interval")
         deltas.append(point - l)
         js.append(j)

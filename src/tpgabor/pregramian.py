@@ -47,20 +47,34 @@ class FrameDiagnosis:
                 "evidence": self.evidence}
 
 
-def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,
-                       tail_tol: float = 1e-10) -> MatrixSection:
-    """Rows j in [-J, J], columns k in [-K, K], K = ceil(alpha J) + radius."""
+def _lattice_grid_section(w: TPWindow, lat: RationalLattice, x: float,
+                          J: int, K: int) -> np.ndarray:
+    """Entries g(x + alpha j - k) of P(x) for |j| <= J, |k| <= K.
+
+    Each is g(x + n/q), n = p j - q k, gathered from one sample of w on that
+    grid: an argument on a jump (the one-sided exponential's at 0) is exact.
+    """
     if J < 1:
         raise PregramianError("J must be at least 1")
-    alpha = lat.alpha_float
+    p, q = lat.p, lat.q
+    n0 = p * J + q * K
+    vals = w(x + np.arange(-n0, n0 + 1) / q)
+    n = p * np.arange(-J, J + 1)[:, None] - q * np.arange(-K, K + 1)
+    return vals[n + n0]
+
+
+def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,
+                       tail_tol: float = 1e-10) -> MatrixSection:
+    """Rows j in [-J, J], columns k in [-K, K], K = ceil(alpha J) + radius.
+
+    The entries come from the lattice-grid gather the ladder rungs use.
+    """
     R = truncation_radius(w, tail_tol)
     K = -(-lat.p * J // lat.q) + R  # ceil(alpha J), exact
-    js = np.arange(-J, J + 1)
-    ks = np.arange(-K, K + 1)
-    rows = x + alpha * js
-    entries = w(rows[:, None] - ks[None, :].astype(float))
-    return MatrixSection(entries=entries, row_offset=-J, col_offset=-K,
-                         row_points=rows, col_points=ks.astype(float),
+    return MatrixSection(entries=_lattice_grid_section(w, lat, x, J, K),
+                         row_offset=-J, col_offset=-K,
+                         row_points=x + lat.alpha_float * np.arange(-J, J + 1),
+                         col_points=np.arange(-K, K + 1.0),
                          decay_cert=w.decay,
                          description="P(x)_{jk} = g(x + alpha j - k)")
 
@@ -71,38 +85,29 @@ def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
 
     The restriction drops one truncation radius of boundary columns so
     edge effects do not spuriously deflate the smallest singular value.
-    Only the kept columns are built.  Every entry g(x + alpha j - k) is
-    g(x + n/q) with n = p j - q k, so the window is evaluated once on that
-    lattice grid and the entries are gathered from it; they match those of
-    the same columns of :func:`pregramian_section` to rounding of the
-    argument, and an argument on a jump of the window (the one-sided
-    exponential's at 0) is exact, not rounded to either side.  sigma_min^2 is the least eigenvalue of the Gram matrix M^T M
-    of the real, tall restriction M: fewer flops than its SVD, with
-    absolute rounding error about n eps sigma_max^2 for n columns, far
-    inside the ladder's 10% and 0.6 rules.
+    Only the kept columns are gathered, from the lattice-grid sample that
+    :func:`pregramian_section` uses, so they equal its columns bitwise.
+    sigma_min^2 is the least eigenvalue of the Gram matrix M^T M of the
+    real, tall restriction M: fewer flops than its SVD, with absolute
+    rounding error about n eps sigma_max^2 for n columns, far inside the
+    ladder's 10% and 0.6 rules.
     """
-    if J < 1:
-        raise PregramianError("J must be at least 1")
-    p, q = lat.p, lat.q
     R = truncation_radius(w, tail_tol)
     # a column k has full row support within |j| <= J only for |k| <= alpha*J - R
-    K_inner = max(p * J // q - R, 0)
-    n0 = p * J + q * K_inner
-    vals = w(x + np.arange(-n0, n0 + 1) / q)
-    n = p * np.arange(-J, J + 1)[:, None] - q * np.arange(-K_inner, K_inner + 1)
-    M = vals[n + n0]
+    K_inner = max(lat.p * J // lat.q - R, 0)
+    M = _lattice_grid_section(w, lat, x, J, K_inner)
     return max(float(np.linalg.eigvalsh(M.T @ M)[0]), 0.0)
 
 
-def upper_bound_cert(w: TPWindow, alpha: float = 1.0, grid_n: int = 256,
+def upper_bound_cert(w: TPWindow, alpha: float = 1.0,
                      tail_tol: float = 1e-10) -> float:
-    """Schur-test upper bound (sum_k sup_x |g(x+k)|)^2 / alpha on a grid.
+    """Schur-test upper bound (sum_k sup_x |g(x+k)|)^2 / alpha, on 257 x.
 
     Row sums of P(x) are bounded by S = sum_k sup |g(.+k)|; column sums by
     S/alpha because the rows sample on the finer grid x + alpha*Z.
     """
     R = truncation_radius(w, tail_tol)
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    xs = np.linspace(0.0, 1.0, 257)
     ks = np.arange(-R - 1, R + 2)
     vals = np.abs(w(xs[:, None] + ks[None, :].astype(float)))
     S = float(np.sum(np.max(vals, axis=0)) + tail_tol)

@@ -72,43 +72,46 @@ class InverseDecayFit:
     profile: np.ndarray
 
 
+def G_entries(w: TPWindow, pert: PerturbationSeq, ks: np.ndarray,
+              ls: np.ndarray) -> np.ndarray:
+    """The block G_{kl} = g(k + delta_k - l), k in ks, l in ls (integers).
+
+    The argument is the exact difference k - l plus delta_k (added in place:
+    a second block-sized temporary costs more), so G_{k+p,l+p} = G_{kl} bitwise.
+    """
+    arg = ks.astype(float)[:, None] - ls.astype(float)
+    arg += np.asarray(pert.deltas)[ks % pert.p][:, None]
+    return w(arg)
+
+
 def build_G(w: TPWindow, pert: PerturbationSeq, K: int) -> MatrixSection:
-    """(2K+1) x (2K+1) section of G_{kl} = g(k + delta_k - l), k,l in [-K,K]."""
+    """(2K+1) x (2K+1) section of G, k,l in [-K,K], from :func:`G_entries`."""
     if K < pert.p:
         raise TPMatrixError("section must cover at least one period: K >= p")
     ks = np.arange(-K, K + 1)
-    deltas = np.array([pert.delta(int(k)) for k in ks])
-    rows = ks + deltas
-    cols = ks.astype(float)
-    # argument built as exact integer difference plus delta, so that shifted
-    # index pairs (k+p, l+p) evaluate through bitwise-identical floats
-    entries = w((ks[:, None] - ks[None, :]).astype(float) + deltas[:, None])
-    return MatrixSection(entries=entries, row_offset=-K, col_offset=-K,
-                         row_points=rows, col_points=cols,
+    return MatrixSection(entries=G_entries(w, pert, ks, ks),
+                         row_offset=-K, col_offset=-K,
+                         row_points=ks + np.asarray(pert.deltas)[ks % pert.p],
+                         col_points=ks.astype(float),
                          decay_cert=w.decay,
                          description="G_{kl} = g(k + delta_k - l)")
 
 
 def alternating_witness(w: TPWindow, pert: PerturbationSeq, K: int,
-                        tail_tol: float = 1e-10,
-                        nu_floor: float = None) -> AlternatingWitness:
+                        tail_tol: float = 1e-10) -> AlternatingWitness:
     """Compute u_k = sum_l (-1)^l g(k + delta_k - l) for k in [-K, K].
 
-    The column range is extended by the truncation radius so every reported
-    u_k is interior.  Verifies the identity u_k = (-1)^k Zg(delta_k, 1/2)
-    to 10*tail_tol and that u is uniformly alternating.
+    The columns of :func:`G_entries` run one truncation radius past [-K, K]
+    so every u_k is interior.  Verifies u_k = (-1)^k Zg(delta_k, 1/2) to
+    10*tail_tol, taking the p Zak values in one bank call, and that u
+    alternates with min |u_k| at least 1000*tail_tol.
     """
-    if nu_floor is None:
-        nu_floor = 1000.0 * tail_tol
     R = truncation_radius(w, tail_tol)
     ks = np.arange(-K, K + 1)
-    deltas = np.array([pert.delta(int(k)) for k in ks])
     ls = np.arange(-K - R - 1, K + R + 2)
-    gmat = w((ks + deltas)[:, None] - ls[None, :])
-    u = gmat @ ((-1.0) ** ls)
+    u = G_entries(w, pert, ks, ls) @ ((-1.0) ** ls)
 
-    zvals = np.array([zak_on_half_line(w, pert.delta(r), tail_tol)
-                      for r in range(pert.p)])
+    zvals = zak_on_half_line(w, np.asarray(pert.deltas), tail_tol)
     expected = ((-1.0) ** ks) * zvals[ks % pert.p]
     dev = np.max(np.abs(u - expected))
     if dev >= 10.0 * tail_tol:
@@ -118,7 +121,7 @@ def alternating_witness(w: TPWindow, pert: PerturbationSeq, K: int,
 
     nu = float(np.min(np.abs(u)))
     sign_ok = bool(np.all(u[:-1] * u[1:] < 0.0))
-    if not sign_ok or nu < nu_floor:
+    if not sign_ok or nu < 1000.0 * tail_tol:
         raise TPMatrixError(
             f"witness degenerate: nu = {nu:.3g}, alternating = {sign_ok}; "
             "delta too close to the Zak zero or window hypothesis failure")
@@ -157,20 +160,20 @@ def tp_minor_audit(section: MatrixSection, n_max: int = 6,
                             passed=bool(min_scaled >= -tol))
 
 
-def inverse_decay_profile(section: MatrixSection, d_max: int = 12,
-                          cond_cap: float = 1e12,
+def inverse_decay_profile(section: MatrixSection,
                           tail_tol: float = 1e-10) -> InverseDecayFit:
     """Invert the section and fit |G^{-1}_{kl}| <= C (1+|k-l|)^{-sigma}.
 
     Only interior rows/columns (at least one truncation radius from the
     section edge) enter the fit; the profile is the per-distance maximum
-    of |G^{-1}|, regressed log-log against 1 + distance.
+    of |G^{-1}| up to distance 12, regressed log-log against 1 + distance.
+    A section with condition number above 1e12 raises.
     """
     A = section.entries
     if A.shape[0] != A.shape[1]:
         raise TPMatrixError("inverse decay needs a square section")
     cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > 1e12:
         raise TPMatrixError(f"section too ill-conditioned: cond = {cond:.3g}")
     inv = np.linalg.inv(A)
     n = A.shape[0]
@@ -180,7 +183,7 @@ def inverse_decay_profile(section: MatrixSection, d_max: int = 12,
     m = core.shape[0]
     idx = np.arange(m)
     dist = np.abs(idx[:, None] - idx[None, :])
-    d_hi = min(d_max, m - 1)
+    d_hi = min(12, m - 1)
     ds, prof = [], []
     for d in range(1, d_hi + 1):
         vals = np.abs(core[dist == d])

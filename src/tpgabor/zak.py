@@ -86,16 +86,17 @@ def zak(w: TPWindow, p: float, x: float, xi: float, tol: float = 1e-12) -> ZakVa
     return ZakValue(re=float(z.real), im=float(z.imag), trunc_err=tol)
 
 
-def zak_on_half_line(w: TPWindow, x: float, tol: float = 1e-12) -> float:
-    """The real number Zg(x, 1/2) = sum_k (-1)^k g(x-k).
+def zak_on_half_line(w: TPWindow, x, tol: float = 1e-12):
+    """Zg(x, 1/2) = sum_k (-1)^k g(x-k), a float, or an array for an array x.
 
     Raises if the truncated sum acquires an imaginary part above tol,
     which would signal an evaluation bug (the exact value is real).
     """
-    z = zak(w, 1.0, x, 0.5, tol)
-    if abs(z.im) > tol:
-        raise ZakError(f"Zg(x, 1/2) should be real; got imaginary part {z.im:g}")
-    return z.re
+    z = zak_values(w, 1.0, x, 0.5, tol)
+    im = float(np.max(np.abs(z.imag)))
+    if im > tol:
+        raise ZakError(f"Zg(x, 1/2) should be real; got imaginary part {im:g}")
+    return float(z[0].real) if np.ndim(x) == 0 else z.real
 
 
 def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PerturbationSeq, RationalLattice
+from .tpmatrix import G_entries
 from .windows import TPWindow, truncation_radius
 from .zak import zak_bank
 
@@ -82,9 +83,12 @@ def _A_stack(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
 
 def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
                 xis: np.ndarray, tol: float) -> tuple:
-    """The arrays (sigma_min(A(xi)), |det A(xi)|) over xis."""
-    A = _A_stack(w, lat, pert, xis, tol)
-    return np.linalg.svd(A, compute_uv=False)[:, -1], np.abs(np.linalg.det(A))
+    """The arrays (sigma_min(A(xi)), |det A(xi)|) over xis.
+
+    |det A| is the product of the singular values, so one SVD gives both.
+    """
+    s = np.linalg.svd(_A_stack(w, lat, pert, xis, tol), compute_uv=False)
+    return s[:, -1], np.prod(s, axis=1)
 
 
 def _scan_min(w, lat, pert, xis, tol):
@@ -154,17 +158,12 @@ def fourier_factorization_check(w: TPWindow, lat: RationalLattice,
     l_idx = np.arange(c_offset, c_offset + len(c))
     c_l1 = float(np.sum(np.abs(c)))
     R = truncation_radius(w, tol / max(c_l1, 1.0))
-    kmin = int(l_idx[0] - R - pert.p - 2)
-    kmax = int(l_idx[-1] + R + pert.p + 2)
-    ks = np.arange(kmin, kmax + 1)
-    deltas = np.array([pert.delta(int(k)) for k in ks])
-    G = w((ks + deltas)[:, None] - l_idx[None, :].astype(float))
-    d = G @ c
+    ks = np.arange(l_idx[0] - R - pert.p - 2, l_idx[-1] + R + pert.p + 3)
+    d = G_entries(w, pert, ks, l_idx) @ c
 
     xis = np.linspace(0.0, 1.0 / p, xi_grid_n + 1)
     A = _A_stack(w, lat, pert, xis, tol)  # (nxi, p, p)
 
-    max_dev = 0.0
     x_vec = np.empty((len(xis), p), dtype=complex)
     y_vec = np.empty((len(xis), p), dtype=complex)
     for r in range(p):

@@ -173,3 +173,38 @@ def test_perturbation_seq_validation():
     pert = PerturbationSeq(deltas=(0.1, -0.2), M=0, eps=0.1, x=0.0, x0=0.5)
     assert pert.p == 2
     assert pert.delta(5) == pert.delta(1)
+
+
+def _nearest_admissible_j(lat, x, x0, eps, M, l):
+    """The admissible j nearest the interval centre, by exhaustive search."""
+    a = Fraction(lat.p, lat.q)
+    X, X0, E = Fraction(x), Fraction(x0), Fraction(eps)
+    lo, hi = l + X0 + M - 1 + E, l + X0 + M - E
+    centre = l + X0 + M - Fraction(1, 2)
+    cands = [j for j in range(math.floor((lo - X) / a) - 1,
+                              math.ceil((hi - X) / a) + 2)
+             if lo <= X + a * j <= hi]
+    assert cands, "the interval holds no lattice point"
+    return min(cands, key=lambda j: (abs(X + a * j - centre), j))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.integers(2, 60), p=st.integers(1, 59),
+       x=st.one_of(st.floats(-3.0, 3.0), st.integers(-64, 64).map(lambda k: k / 16),
+                   st.integers(-30, 30).map(lambda k: k / 7)),
+       x0=st.one_of(st.just(0.5), st.floats(0.0, 0.999999)),
+       eps_frac=st.one_of(st.none(), st.floats(0.001, 0.999999),
+                          st.just(1.0 - 1e-9)))
+def test_selected_j_is_nearest_admissible(q, p, x, x0, eps_frac):
+    # the selector's j is the admissible lattice index nearest the interval
+    # centre, ties to the smaller j, for dyadic and non-dyadic x and for eps
+    # up to its limit (1 - alpha)/2
+    p = min(p, q - 1)
+    while math.gcd(p, q) != 1:
+        p -= 1
+    lat = RationalLattice(p=p, q=q)
+    eps = None if eps_frac is None else eps_frac * (1.0 - p / q) / 2.0
+    pert = select_perturbation(lat, x, x0, eps=eps)
+    for l in range(p):
+        assert pert.js[l] == _nearest_admissible_j(lat, x, x0, pert.eps,
+                                                   pert.M, l)

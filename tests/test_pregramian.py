@@ -309,3 +309,41 @@ def test_frame_bounds_validation(gauss):
         frame_bounds(gauss, reduce("1/2", 1), x_grid_n=4)
     with pytest.raises(PregramianError):
         frame_bounds(gauss, reduce("1/2", 1), J_ladder=(16, 32))
+
+
+def _interior_gram_bound(sec, w, lat, J):
+    """Least Gram eigenvalue of the section's interior columns."""
+    K = (sec.shape[1] - 1) // 2
+    K_inner = max(lat.p * J // lat.q - truncation_radius(w, 1e-10), 0)
+    M = sec.entries[:, K - K_inner:K + K_inner + 1]
+    return max(float(np.linalg.eigvalsh(M.T @ M)[0]), 0.0)
+
+
+def test_section_one_sided_jump_at_exact_argument(ose):
+    # at 7/10 and x = 0.3 the entries (j, k) = (11, 8), (51, 36) and
+    # (61, 43) sit on the jump at 0, where the window is 1; a floating-point
+    # argument 0.3 + 0.7 j - k lands below 0 there.  Every entry must be the
+    # window at the exact argument
+    lat = reduce("7/10", 1)
+    J = 64
+    sec = pregramian_section(ose, lat, 0.3, J)
+    K = (sec.shape[1] - 1) // 2
+    args = [[Fraction(3, 10) + Fraction(7, 10) * j - k
+             for k in range(-K, K + 1)] for j in range(-J, J + 1)]
+    ref = ose(np.array(args, dtype=float))
+    assert np.max(np.abs(sec.entries - ref)) <= 1e-15
+    for j, k in ((11, 8), (51, 36), (61, 43)):
+        assert sec.entries[j + J, k + K] == 1.0
+
+
+@pytest.mark.parametrize("alpha, x", [("7/10", 0.3), ("1/2", 0.3),
+                                      ("2/3", 0.1)])
+def test_section_interior_gram_equals_ladder(ose, gauss, alpha, x):
+    # the section and the ladder gather from the same lattice-grid sample,
+    # so the section's interior columns give the ladder's rung exactly
+    lat = reduce(alpha, 1)
+    for w in (ose, gauss):
+        for J in (16, 64):
+            sec = pregramian_section(w, lat, x, J)
+            assert _interior_gram_bound(sec, w, lat, J) == pytest.approx(
+                lower_bound_at_x(w, lat, x, J), rel=1e-13)

@@ -164,3 +164,20 @@ def test_witness_interior_identity_all_windows(gauss, tsexp, sech, zak_zeros):
         expected = np.array([(-1.0) ** k * zak_on_half_line(w, pert.delta(int(k)))
                              for k in wit.ks])
         assert np.max(np.abs(wit.u - expected)) < 1e-9
+
+
+def test_G_entries_match_entrywise_reference(gauss, ose, gauss_pert_23):
+    # build_G and the witness take G from G_entries; entry by entry it is
+    # g((k - l) + delta_k), with delta_k looked up one index at a time
+    _, pert = gauss_pert_23
+    K, R = 9, truncation_radius(gauss, 1e-10)
+    ks = np.arange(-K, K + 1)
+    ls = np.arange(-K - R - 1, K + R + 2)
+    for w in (gauss, ose):
+        ref = np.array([[w(np.array([float(k - l) + pert.delta(int(k))]))[0]
+                         for l in ls] for k in ks])
+        assert np.array_equal(build_G(w, pert, K).entries,
+                              ref[:, R + 1:R + 2 + 2 * K])
+        if w is gauss:
+            u = alternating_witness(w, pert, K).u
+            assert np.max(np.abs(u - ref @ ((-1.0) ** ls))) <= 1e-14

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -227,3 +228,27 @@ def test_truncation_error_bound(gauss):
 def test_locate_zero_grid_minimum():
     with pytest.raises(ZakError):
         locate_zero(Gaussian(), grid_n=32)
+
+
+def test_half_line_array_matches_scalar_calls(gauss, ose):
+    # one bank over the array keeps the terms of its largest |x| for every
+    # point, so it agrees with the scalar calls within both tail bounds
+    xs = np.array([-1.3, 0.0, 0.1, 0.37, 0.5, 2.25])
+    tol = 1e-12
+    for w in (gauss, ose):
+        got = zak_on_half_line(w, xs, tol)
+        ref = np.array([zak_on_half_line(w, float(x), tol) for x in xs])
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - ref)) <= 2 * tol
+    assert isinstance(zak_on_half_line(gauss, 0.1), float)
+
+
+def test_half_line_rejects_imaginary_part(gauss, monkeypatch):
+    zakmod = importlib.import_module("tpgabor.zak")  # the package exports zak()
+    bank = zakmod.zak_bank
+    monkeypatch.setattr(zakmod, "zak_bank",
+                        lambda *args: bank(*args) + 1e-6j)
+    with pytest.raises(ZakError):
+        zak_on_half_line(gauss, 0.1)
+    with pytest.raises(ZakError):
+        zak_on_half_line(gauss, np.array([0.1, 0.2]))

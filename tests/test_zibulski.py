@@ -279,3 +279,13 @@ def test_transfer_stack_has_no_subnormals_gaussian_31_32(gauss):
     B = _transfer_stack(gauss, lat, xs, xis, 1e-10)
     for part in (B.real, B.imag):
         assert not np.any((part != 0.0) & (np.abs(part) < np.finfo(float).tiny))
+
+
+def test_a_landscape_det_from_singular_values(gauss_pert_23):
+    # |det A| is taken as the product of the singular values of A(xi)
+    lat, pert = gauss_pert_23
+    w = Gaussian(gamma=math.pi)
+    xis = np.linspace(0.0, 1.0 / lat.p, 65)
+    _, dets = a_landscape(w, lat, pert, xis, 1e-10)
+    ref = np.abs(np.linalg.det(zibulski._A_stack(w, lat, pert, xis, 1e-10)))
+    assert np.all(np.abs(dets - ref) <= 1e-12 * ref)
