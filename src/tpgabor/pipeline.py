@@ -35,16 +35,17 @@ class PipelineOptions:
     sigma_tol: float = 1e-8
 
     def validate(self):
-        if min(self.tail_tol, self.zero_tol, self.sigma_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < math.inf for t in
+                   (self.tail_tol, self.zero_tol, self.sigma_tol)):
+            raise ValueError("tolerances must be finite and positive")
         if self.x_grid_n < 16:
             raise ValueError("x_grid_n must be >= 16")
         if self.xi_grid_n < 128:
             raise ValueError("xi_grid_n must be >= 128")
         if self.zak_grid_n < 64:
             raise ValueError("zak_grid_n must be >= 64")
-        if len(self.J_ladder) < 3:
-            raise ValueError("J_ladder needs >= 3 entries")
+        if len(set(self.J_ladder)) < 3 or min(self.J_ladder) < 1:
+            raise ValueError("J_ladder needs >= 3 distinct positive entries")
         if self.cert_x_grid_n < 1:
             raise ValueError("cert_x_grid_n must be >= 1")
 

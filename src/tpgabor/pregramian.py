@@ -18,8 +18,8 @@ import numpy as np
 
 from .lattice import RationalLattice
 from .tpmatrix import MatrixSection
-from .windows import Dilated, OneSidedExp, TPWindow, truncation_radius
-from .zibulski import TRANSFER_XI_GRID_N, transfer_window, worst_column
+from .windows import TPWindow, frame_at_critical_density, truncation_radius
+from .zibulski import TRANSFER_XI_GRID_N, transfer_window, worst_vector_x
 
 
 class PregramianError(RuntimeError):
@@ -90,7 +90,7 @@ def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
     sigma_min^2 is the least eigenvalue of the Gram matrix M^T M of the
     real, tall restriction M: fewer flops than its SVD, with absolute
     rounding error about n eps sigma_max^2 for n columns, far inside the
-    ladder's 10% and 0.6 rules.
+    ladder's 10% rule.
     """
     R = truncation_radius(w, tail_tol)
     # a column k has full row support within |j| <= J only for |k| <= alpha*J - R
@@ -135,23 +135,22 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
 
     At an x equivalent to the worst x, with the section centred on the
     worst vector, the interior-restricted section bound runs over the
-    truncation ladder; Frame needs its last step to change by under 10%.
+    truncation ladder; Frame needs A > 0 and its last step to change by
+    under 10%, else the verdict is Inconclusive.
 
-    alpha*beta >= 1 short-circuits to NotFrame by the density theorem
-    (Balian-Low at equality for smooth windows); the one-sided exponential
-    at alpha*beta = 1 is the exception and gets the full estimate with an
-    Inconclusive verdict carrying the bounded sigma trace.
+    NotFrame comes from the density theorem alone: alpha*beta >= 1
+    short-circuits to it (Balian-Low at equality for smooth windows), but
+    a one-sided exponential at alpha*beta = 1 is a frame (Janssen 1996)
+    and gets the full estimate with an Inconclusive verdict.
     """
     if x_grid_n < 16:
         raise PregramianError("x_grid_n must be at least 16")
     J_ladder = tuple(sorted(J_ladder))
-    if len(J_ladder) < 3:
-        raise PregramianError("J_ladder needs at least 3 entries")
+    if len(set(J_ladder)) < 3 or J_ladder[0] < 1:
+        raise PregramianError("J_ladder needs 3 distinct positive entries")
     alpha = lat.alpha
 
-    base = w.base if isinstance(w, Dilated) else w
-    one_sided = isinstance(base, OneSidedExp)
-    if alpha >= 1 and not (one_sided and alpha == 1):
+    if alpha > 1 or (alpha == 1 and not frame_at_critical_density(w)):
         return FrameDiagnosis(
             verdict=VERDICT_NOT_FRAME, lower_bound_est=0.0,
             upper_bound_est=upper_bound_cert(w, alpha=lat.alpha_float,
@@ -171,17 +170,11 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     worst = int(np.argmin(lo))
     A_est, B_est, worst_x = float(lo[worst]), float(np.max(hi)), float(xs[worst])
 
-    # P(worst_x) around row a, column b is the section of P(x_lad) around
-    # (0, 0), x_lad = worst_x + alpha a - b, with the same spectrum.  Its
-    # worst vector can be localized within a period of p columns, so the
-    # ladder is centred where it peaks: at worst_x itself, a section with
-    # fewer than p interior columns can miss it (Gaussian 55/56: NotFrame).
-    b = worst_column(w, lat, worst_x, float(xi_lo[worst]), tail_tol)
-    a = round((b - worst_x) / lat.alpha_float)
-    x_lad = worst_x + lat.alpha_float * a - b
+    # the ladder is centred where the worst vector peaks: at worst_x, a
+    # section with fewer than p interior columns can miss it (Gaussian 55/56)
+    x_lad = worst_vector_x(w, lat, worst_x, float(xi_lo[worst]), tail_tol)
     ladder = [lower_bound_at_x(w, lat, x_lad, J, tail_tol) for J in J_ladder]
     rel = abs(ladder[-1] - ladder[-2]) / max(ladder[-1], 1e-300)
-    decreasing = all(ladder[i + 1] < 0.6 * ladder[i] for i in range(len(ladder) - 1))
     evidence = [{"kind": "sigma_ladder",
                  "x": x_lad,
                  "J_ladder": list(J_ladder),
@@ -193,23 +186,14 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
                  "A": A_est,
                  "B": B_est}]
 
-    if alpha == 1 and one_sided:
-        # frame set of the one-sided exponential includes alpha*beta = 1;
-        # report the bounded trace but stay Inconclusive at critical density
-        verdict = VERDICT_INCONCLUSIVE if not decreasing else VERDICT_NOT_FRAME
+    if alpha == 1:
+        # only the one-sided exponential gets here: report, stay Inconclusive
+        verdict = VERDICT_INCONCLUSIVE
         evidence.append({"kind": "critical_density_exception",
                          "detail": "one-sided exponential at alpha*beta = 1; "
-                                   "sigma trace bounded away from zero"
-                                   if not decreasing else
-                                   "sigma trace decays toward zero"})
-        return FrameDiagnosis(verdict=verdict, lower_bound_est=A_est,
-                              upper_bound_est=B_est, worst_x=worst_x,
-                              evidence=evidence)
-
-    if A_est > 0 and rel < 0.10 and not decreasing:
+                                   "sigma trace bounded away from zero"})
+    elif A_est > 0 and rel < 0.10:
         verdict = VERDICT_FRAME
-    elif decreasing:
-        verdict = VERDICT_NOT_FRAME
     else:
         verdict = VERDICT_INCONCLUSIVE
     return FrameDiagnosis(verdict=verdict, lower_bound_est=A_est,

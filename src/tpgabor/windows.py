@@ -377,6 +377,17 @@ def truncation_radius(w: TPWindow, tol: float) -> int:
     return w.decay.tail_radius(tol)
 
 
+def frame_at_critical_density(w: TPWindow) -> bool:
+    """True for a one-sided exponential up to shift, scale and reflection:
+    OneSidedExp or a one-factor FiniteProduct with gamma = 0, under any
+    dilations.  Its Gabor family is a frame at alpha*beta = 1 (Janssen 1996).
+    """
+    while isinstance(w, Dilated):
+        w = w.base
+    return isinstance(w, OneSidedExp) or (
+        isinstance(w, FiniteProduct) and w.gamma == 0.0 and len(w.nus) == 1)
+
+
 def tp_samples_matrix(w: TPWindow, xs, ys) -> np.ndarray:
     """Sample matrix (g(x_j - y_k)) for strictly increasing nodes, n <= 12."""
     xs = np.asarray(xs, dtype=float)

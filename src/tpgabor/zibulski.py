@@ -232,17 +232,20 @@ def transfer_window(w: TPWindow, lat: RationalLattice, xs,
     return lo, hi, xi_lo
 
 
-def worst_column(w: TPWindow, lat: RationalLattice, x: float, xi: float,
-                 tol: float = 1e-10) -> int:
-    """Column of P(x), mod p, where its least-stretched Bloch vector peaks.
+def worst_vector_x(w: TPWindow, lat: RationalLattice, x: float, xi: float,
+                   tol: float = 1e-10) -> float:
+    """The x' in x + Z/q that centres the least-stretched vector of P(x).
 
     With u the right singular vector of sigma_min(B(x, xi)), the vector
     c_{b + p m} = u_b exp(2 pi i p m xi) has (P(x) c)_{a + q n} =
     exp(2 pi i p n xi) (B u)_a, so |c| is p-periodic with its peak at
-    argmax_b |u_b|.
+    b = argmax_b |u_b|.  P(x) around column b and the row a nearest it is
+    P(x') around (0, 0), x' = x + alpha a - b, with the same spectrum.
     """
     B = _transfer_stack(w, lat, np.array([x]), np.array([xi]), tol)[0, 0]
-    return int(np.argmax(np.abs(np.linalg.svd(B)[2][-1])))
+    b = int(np.argmax(np.abs(np.linalg.svd(B)[2][-1])))
+    a = round((b - x) / lat.alpha_float)
+    return x + lat.alpha_float * a - b
 
 
 def transfer_frame_bound(w: TPWindow, lat: RationalLattice, x: float,

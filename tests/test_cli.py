@@ -264,6 +264,13 @@ def test_malformed_arguments_exit_64(tmp_path):
         ["no-such-command"],
         ["bounds", "--window", GAUSS, "--config", str(cfg)],
         ["bounds", "--window", GAUSS, "--config", str(cfg_float)],
+        ["diagnose", "--window", GAUSS, "--j-ladder=0,16,32"],
+        ["diagnose", "--window", GAUSS, "--j-ladder=-5,16,32"],
+        ["diagnose", "--window", GAUSS, "--j-ladder=16,16,16"],
+        ["diagnose", "--window", GAUSS, "--tail-tol=nan"],
+        ["diagnose", "--window", GAUSS, "--tail-tol=inf"],
+        ["diagnose", "--window", GAUSS, "--zero-tol=nan"],
+        ["diagnose", "--window", GAUSS, "--sigma-tol=inf"],
     ]
     for argv in cases:
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 64

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from tpgabor import pregramian
 from tpgabor.lattice import RationalLattice, reduce
+from tpgabor.pipeline import diagnose
 from tpgabor.pregramian import (PregramianError, frame_bounds,
                                 lower_bound_at_x, pregramian_section,
                                 upper_bound_cert)
 from tpgabor.windows import (Dilated, FiniteProduct, Gaussian,
-                             HyperbolicSecant, truncation_radius,
+                             HyperbolicSecant, OneSidedExp, truncation_radius,
                              two_sided_exponential)
 from tpgabor.zibulski import transfer_frame_bound, transfer_window
 
@@ -221,6 +222,58 @@ def test_frame_bounds_one_sided_critical(ose):
     assert "critical_density_exception" in kinds
 
 
+def test_ladder_decay_never_gives_not_frame(gauss, ose, monkeypatch):
+    # below density 1 every totally positive window gives a frame, so a
+    # ladder that halves at every rung is inconclusive, not NotFrame, and
+    # at density 1 the one-sided exponential keeps its exception record
+    calls = []
+
+    def halving(w, lat, x, J, tail_tol=1e-10):
+        calls.append(J)
+        return 0.5 ** len(calls)
+
+    monkeypatch.setattr(pregramian, "lower_bound_at_x", halving)
+    diag = frame_bounds(gauss, reduce("7/8", 1), x_grid_n=16)
+    assert diag.verdict == "Inconclusive"
+    diag = frame_bounds(ose, reduce(1, 1), x_grid_n=16)
+    assert diag.verdict == "Inconclusive"
+    assert diag.evidence[-1] == {
+        "kind": "critical_density_exception",
+        "detail": "one-sided exponential at alpha*beta = 1; "
+                  "sigma trace bounded away from zero"}
+
+
+@pytest.mark.parametrize("w,alpha,beta", [
+    # dilated once more by the beta reduction
+    (Dilated(base=OneSidedExp(gamma=1.0), b=2.0), "1/2", "2"),
+    # the one-sided exponential spelled as a one-factor product
+    (FiniteProduct(gamma=0.0, nus=(1.0,), nu=1.0), "1", "1"),
+])
+def test_critical_density_exception_however_spelled(w, alpha, beta):
+    diag = diagnose(w, reduce(alpha, beta))
+    assert diag.verdict == "Inconclusive"
+    assert diag.evidence[-1]["kind"] == "critical_density_exception"
+
+
+def test_two_sided_exponential_at_critical_density_not_frame(tsexp):
+    diag = diagnose(tsexp, reduce(1, 1))
+    assert diag.verdict == "NotFrame"
+    assert [e["kind"] for e in diag.evidence] == ["density"]
+
+
+@pytest.mark.parametrize("alpha", ["1/8", "3/8", "1/2", "2/3", "5/7", "7/10",
+                                   "7/8", "15/16"])
+@pytest.mark.parametrize("name", ["gauss", "tsexp", "sech", "ose"])
+def test_ladder_rungs_bounded_below_by_transfer_window(request, name, alpha):
+    # each rung restricts P(x_lad) to columns with full row support, so its
+    # sigma_min^2 is at least the lower frame bound of P(x_lad)
+    w = request.getfixturevalue(name)
+    lat = reduce(alpha, 1)
+    ladder = frame_bounds(w, lat, x_grid_n=16).evidence[0]
+    A_x = transfer_frame_bound(w, lat, ladder["x"])[0]
+    assert min(ladder["A_trace"]) >= A_x * (1 - 1e-12)
+
+
 def test_upper_bound_finiteness(gauss, tsexp, sech, ose):
     lat = reduce("1/2", 1)
     for w in (gauss, tsexp, sech, ose):
@@ -309,6 +362,9 @@ def test_frame_bounds_validation(gauss):
         frame_bounds(gauss, reduce("1/2", 1), x_grid_n=4)
     with pytest.raises(PregramianError):
         frame_bounds(gauss, reduce("1/2", 1), J_ladder=(16, 32))
+    for ladder in ((0, 16, 32), (-5, 16, 32), (16, 16, 16)):
+        with pytest.raises(PregramianError):
+            frame_bounds(gauss, reduce("1/2", 1), J_ladder=ladder)
 
 
 def _interior_gram_bound(sec, w, lat, J):

@@ -5,7 +5,8 @@ import pytest
 
 from tpgabor.windows import (DecayProfile, Dilated, FiniteProduct, Gaussian,
                              HyperbolicSecant, OneSidedExp, WindowError,
-                             tp_samples_matrix, truncation_radius,
+                             frame_at_critical_density, tp_samples_matrix,
+                             truncation_radius,
                              two_sided_exponential, window_from_config)
 
 ALL = [Gaussian(gamma=math.pi), OneSidedExp(gamma=1.0),
@@ -94,6 +95,22 @@ def test_tail_sum_certificate(w):
 
 
 # ------------------------------------------------------------ sample matrix
+
+def test_frame_at_critical_density():
+    # the one-sided exponential up to shift, scale and reflection, however
+    # it is spelled or dilated
+    for w in (OneSidedExp(gamma=1.0), OneSidedExp(gamma=-2.0),
+              FiniteProduct(nus=(1.0,), nu=1.0),
+              FiniteProduct(nus=(-0.5,), nu=0.3, c=2.0),
+              Dilated(base=Dilated(base=OneSidedExp(gamma=1.0), b=2.0), b=3.0),
+              Dilated(base=FiniteProduct(nus=(1.0,)), b=0.5)):
+        assert frame_at_critical_density(w), w
+    for w in (Gaussian(gamma=math.pi), HyperbolicSecant(a=1.0),
+              two_sided_exponential(rate=1.0),
+              FiniteProduct(gamma=1.0, nus=(1.0,)),
+              Dilated(base=Gaussian(gamma=math.pi), b=2.0)):
+        assert not frame_at_critical_density(w), w
+
 
 def test_tp_samples_matrix_trivial():
     w = Gaussian(gamma=math.pi)
