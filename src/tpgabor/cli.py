@@ -30,7 +30,8 @@ from .lattice import LatticeError, as_fraction, reduce, select_perturbation
 from .pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
                        effective_window, zak_anchor)
 from .pregramian import PregramianError, frame_bounds
-from .tpmatrix import TPMatrixError, build_G, alternating_witness, tp_minor_audit
+from .tpmatrix import (MINOR_N_MAX, TPMatrixError, alternating_witness, build_G,
+                       tp_minor_audit)
 from .windows import WindowError, window_from_config
 from .zak import ZakError, zak_bank
 from .zibulski import ZibulskiError, a_landscape
@@ -126,9 +127,15 @@ def _setup(args, candidate=False):
     return w, lat, _options(args)
 
 
-def _perturbation(args):
-    """(dilated window, lattice, options, perturbation at --x) of a data command."""
+def _perturbation(args, periods=None):
+    """(dilated window, lattice, options, perturbation at --x) of a data command.
+
+    With ``periods``, --K must be at least ``periods * p``; it is checked
+    before any numerics.
+    """
     w, lat, opts = _setup(args, candidate=True)
+    if periods is not None and args.K < periods * lat.p:
+        raise ConfigError(f"--K = {args.K} must be >= {periods * lat.p}")
     g = effective_window(w, lat)
     return g, lat, opts, select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
 
@@ -147,6 +154,11 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _reprs(a) -> list:
+    """``repr`` of each element of a 1-d array (float or int), in one C pass."""
+    return repr(a.tolist())[1:-1].split(", ") if a.size else []
 
 
 def _json_dump(obj) -> str:
@@ -227,10 +239,11 @@ def cmd_zak(args) -> int:
     grid = np.arange(n) / n
     table = zak_bank(w, 1.0, grid, grid, _options(args).tail_tol)  # [x, xi]
     lines = ["# schema=tpgabor-zak-v1", "x,xi,re,im,abs"]
-    for xi, zs in zip(grid, table.T):
-        for x, z in zip(grid, zs):
-            lines.append(f"{float(x)!r},{float(xi)!r},{float(z.real)!r},"
-                         f"{float(z.imag)!r},{float(abs(z))!r}")
+    xs = _reprs(grid)
+    for xi, zs in zip(xs, table.T):  # one xi row at a time keeps memory flat
+        re, im = zs.real, zs.imag
+        lines += [f"{x},{xi},{r},{i},{a}" for x, r, i, a in
+                  zip(xs, _reprs(re), _reprs(im), _reprs(np.hypot(re, im)))]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -242,8 +255,7 @@ def cmd_zzdet(args) -> int:
     xis = np.linspace(0.0, 1.0 / lat.p, opts.xi_grid_n + 1)
     sig, dets = a_landscape(g, lat, pert, xis, opts.tail_tol)
     lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
-    for xi, d, s in zip(xis, dets, sig):
-        lines.append(f"{float(xi)!r},{float(d)!r},{float(s)!r}")
+    lines += map(",".join, zip(_reprs(xis), _reprs(dets), _reprs(sig)))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -251,11 +263,10 @@ def cmd_zzdet(args) -> int:
 # ----------------------------------------------------------------- witness
 
 def cmd_witness(args) -> int:
-    g, _, opts, pert = _perturbation(args)
+    g, _, opts, pert = _perturbation(args, periods=0)
     wit = alternating_witness(g, pert, K=args.K, tail_tol=opts.tail_tol)
     lines = ["# schema=tpgabor-witness-v1", "k,u"]
-    for k, u in zip(wit.ks, wit.u):
-        lines.append(f"{int(k)},{float(u)!r}")
+    lines += map(",".join, zip(_reprs(wit.ks), _reprs(wit.u)))
     lines.append(f"# nu={wit.nu!r}")
     lines.append(f"# alternating={wit.sign_pattern_ok}")
     _emit("\n".join(lines) + "\n", args.output)
@@ -265,7 +276,11 @@ def cmd_witness(args) -> int:
 # ------------------------------------------------------------------- audit
 
 def cmd_audit(args) -> int:
-    g, _, _, pert = _perturbation(args)
+    if args.trials < 1:
+        raise ConfigError(f"--trials = {args.trials} must be >= 1")
+    if not 1 <= args.n_max <= MINOR_N_MAX:
+        raise ConfigError(f"--n-max = {args.n_max} must be in 1..{MINOR_N_MAX}")
+    g, _, _, pert = _perturbation(args, periods=1)
     sec = build_G(g, pert, K=args.K)
     rep = tp_minor_audit(sec, n_max=args.n_max, trials=args.trials,
                          seed=args.seed)

@@ -128,33 +128,70 @@ def alternating_witness(w: TPWindow, pert: PerturbationSeq, K: int,
     return AlternatingWitness(u=u, nu=nu, sign_pattern_ok=sign_ok, ks=ks)
 
 
+# random keys per chunk of the minor audit: memory stays flat in ``trials``
+# and in the section's size
+_AUDIT_KEYS = 1 << 20
+# largest minor the audit evaluates
+MINOR_N_MAX = 8
+
+
+def _subsets(rng, cnt: int, m: int, k: int) -> np.ndarray:
+    """``cnt`` independent uniform sorted k-subsets of range(m), one per row:
+    the indices of the k smallest of m uniform keys."""
+    keys = rng.random((cnt, m))
+    return np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+
+
+def _minor_draws(m: int, n: int, n_max: int, trials: int, rng):
+    """The audit's (rows, cols) index stacks, one per chunk and minor size.
+
+    Per chunk of ``_AUDIT_KEYS // max(m, n)`` trials (at least one) the
+    sizes k are uniform on 1..n_max; the trials of one size get
+    independent, uniform, sorted row and column subsets of sizes
+    min(k, m) and min(k, n).
+    """
+    chunk = max(1, _AUDIT_KEYS // max(m, n))
+    for start in range(0, trials, chunk):
+        sizes = rng.integers(1, n_max + 1, size=min(chunk, trials - start))
+        for k in range(1, n_max + 1):
+            cnt = int(np.count_nonzero(sizes == k))
+            if cnt:
+                yield (_subsets(rng, cnt, m, min(k, m)),
+                       _subsets(rng, cnt, n, min(k, n)))
+
+
 def tp_minor_audit(section: MatrixSection, n_max: int = 6,
                    trials: int = 10000, seed: int = 0,
                    tol: float = 1e-10) -> MinorAuditReport:
     """Randomized minor test: sampled minors must be >= -tol * scale^n.
 
-    Samples ``trials`` increasing row/column subsets of size <= n_max and
-    evaluates their determinants; the pass criterion normalizes by the
-    largest entry magnitude of each submatrix.
+    Samples ``trials`` increasing row/column subsets of size <= n_max (see
+    :func:`_minor_draws`) and evaluates the determinants of each chunk's
+    minors of one size with one stacked ``det``; the pass criterion
+    normalizes by the largest entry magnitude of each submatrix, and a
+    minor whose scale^n is at most 1e-280 counts as 0.  Beyond the section,
+    memory is flat in ``trials`` and in the section's size.  Needs
+    trials >= 1 and 1 <= n_max <= MINOR_N_MAX.
     """
-    if n_max > 8:
-        raise TPMatrixError("minor audit is capped at n_max <= 8")
+    if n_max > MINOR_N_MAX:
+        raise TPMatrixError(f"minor audit is capped at n_max <= {MINOR_N_MAX}")
+    if n_max < 1 or trials < 1:
+        raise TPMatrixError("minor audit needs n_max >= 1 and trials >= 1")
     A = section.entries
-    m, n = A.shape
     rng = np.random.default_rng(seed)
     min_det = math.inf
     min_scaled = math.inf
-    for _ in range(trials):
-        k = int(rng.integers(1, n_max + 1))
-        rows = np.sort(rng.choice(m, size=min(k, m), replace=False))
-        cols = np.sort(rng.choice(n, size=min(k, n), replace=False))
-        sub = A[np.ix_(rows, cols)]
-        d = float(np.linalg.det(sub))
-        scale = float(np.max(np.abs(sub)))
-        denom = scale ** len(rows)
-        scaled = d / denom if denom > 1e-280 else 0.0
-        min_det = min(min_det, d)
-        min_scaled = min(min_scaled, scaled)
+    for rows, cols in _minor_draws(*A.shape, n_max, trials, rng):
+        sub = A[rows[:, :, None], cols[:, None, :]]
+        with np.errstate(divide="ignore"):  # an exactly singular minor is 0
+            d = np.linalg.det(sub)
+        # scale^n by Python's pow, as a scalar loop takes it: numpy's
+        # vectorized power can differ from it in the last bit
+        k = rows.shape[1]
+        denom = np.array([s ** k for s in np.max(np.abs(sub), axis=(1, 2)).tolist()])
+        scaled = np.divide(d, denom, out=np.zeros_like(d), where=denom > 1e-280)
+        min_det = min(min_det, float(np.min(d)))
+        min_scaled = min(min_scaled, float(np.min(scaled)))
     return MinorAuditReport(trials=trials, n_max=n_max, min_det=min_det,
                             min_scaled_det=min_scaled,
                             passed=bool(min_scaled >= -tol))

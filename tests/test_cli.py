@@ -4,11 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tpgabor import cli
+from tpgabor import cli, tpmatrix
 from tpgabor.lattice import reduce, select_perturbation
-from tpgabor.pipeline import PipelineOptions, zak_anchor
-from tpgabor.tpmatrix import alternating_witness
-from tpgabor.windows import OneSidedExp
+from tpgabor.pipeline import PipelineOptions, effective_window, zak_anchor
+from tpgabor.tpmatrix import alternating_witness, build_G
+from tpgabor.windows import OneSidedExp, window_from_config
+from tpgabor.zak import zak_bank
 from tpgabor.zibulski import ZibulskiError, a_landscape
 
 GAUSS = '{"kind": "gaussian", "gamma": 3.141592653589793}'
@@ -215,6 +216,87 @@ def test_audit_passes(tmp_path):
     assert payload["min_scaled_det"] >= -1e-10
 
 
+def _per_row_zak(w, n):
+    grid = np.arange(n) / n
+    table = zak_bank(w, 1.0, grid, grid, PipelineOptions().tail_tol)
+    lines = ["# schema=tpgabor-zak-v1", "x,xi,re,im,abs"]
+    for xi, zs in zip(grid, table.T):
+        for x, z in zip(grid, zs):
+            lines.append(f"{float(x)!r},{float(xi)!r},{float(z.real)!r},"
+                         f"{float(z.imag)!r},{float(abs(z))!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _data_perturbation(w, alpha, x):
+    lat = reduce(alpha, 1)
+    g = effective_window(w, lat)
+    return g, lat, select_perturbation(lat, x, zak_anchor(g, PipelineOptions())[0])
+
+
+def _per_row_zzdet(w, alpha, x, xi_grid_n):
+    g, lat, pert = _data_perturbation(w, alpha, x)
+    xis = np.linspace(0.0, 1.0 / lat.p, xi_grid_n + 1)
+    sig, dets = a_landscape(g, lat, pert, xis, PipelineOptions().tail_tol)
+    lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
+    for xi, d, s in zip(xis, dets, sig):
+        lines.append(f"{float(xi)!r},{float(d)!r},{float(s)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _per_row_witness(w, alpha, x, K):
+    g, _, pert = _data_perturbation(w, alpha, x)
+    wit = alternating_witness(g, pert, K=K, tail_tol=PipelineOptions().tail_tol)
+    lines = ["# schema=tpgabor-witness-v1", "k,u"]
+    for k, u in zip(wit.ks, wit.u):
+        lines.append(f"{int(k)},{float(u)!r}")
+    lines.append(f"# nu={wit.nu!r}")
+    lines.append(f"# alternating={wit.sign_pattern_ok}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("error")  # a warning would go to stderr
+def test_audit_prints_nothing_on_stderr(tmp_path, capfd, gauss):
+    # these draws meet minors with an all-zero row, whose stacked det is 0
+    g, _, pert = _data_perturbation(gauss, "1/2", 0.375)
+    A = build_G(g, pert, K=16).entries
+    assert any(np.any(np.all(A[rows[:, :, None], cols[:, None, :]] == 0, axis=2))
+               for rows, cols in tpmatrix._minor_draws(
+                   *A.shape, 6, 10000, np.random.default_rng(987654321)))
+    code, text = run(["audit", "--window", GAUSS, "--alpha", "1/2", "--x", "0.375",
+                      "--K", "16", "--seed", "987654321"], tmp_path)
+    assert code == 0 and json.loads(text)["passed"] is True
+    assert capfd.readouterr().err == ""
+
+
+PLOT_WINDOWS = {"gauss": '{"kind": "gaussian"}',
+                "sech": '{"kind": "sech", "a": 1.0}',
+                "tsexp": '{"kind": "two_sided_exp", "rate": 1.0}',
+                "ose": OSE}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_WINDOWS))
+def test_csv_bytes_match_per_row_formatting(tmp_path, name):
+    # the per-row f-string formatters are the reference, byte for byte
+    spec = PLOT_WINDOWS[name]
+    w = window_from_config(json.loads(spec))
+    for n in (8, 256):
+        code, text = run(["zak", "--window", spec, "--grid-n", str(n)], tmp_path)
+        assert code == 0 and text == _per_row_zak(w, n)
+    code, text = run(["zzdet", "--window", spec, "--alpha", "15/16", "--x", "0.375",
+                      "--xi-grid-n", "256"], tmp_path)
+    assert code == 0 and text == _per_row_zzdet(w, "15/16", 0.375, 256)
+    for K in (0, 64):
+        code, text = run(["witness", "--window", spec, "--alpha", "2/3",
+                          "--x", "0.625", "--K", str(K)], tmp_path)
+        assert code == 0 and text == _per_row_witness(w, "2/3", 0.625, K)
+
+
+def test_reprs_match_element_repr():
+    for a in (np.array([-0.0, 5e-324, 1e16, np.nan, np.inf, -np.inf, 0.1, 1 / 3]),
+              np.array([-3, 0, 2 ** 62], dtype=np.int64), np.array([])):
+        assert cli._reprs(a) == [repr(v) for v in a.tolist()]
+
+
 # ----------------------------------------------------------- configuration
 
 def test_bad_configs_exit_64(tmp_path, monkeypatch):
@@ -271,6 +353,13 @@ def test_malformed_arguments_exit_64(tmp_path):
         ["diagnose", "--window", GAUSS, "--tail-tol=inf"],
         ["diagnose", "--window", GAUSS, "--zero-tol=nan"],
         ["diagnose", "--window", GAUSS, "--sigma-tol=inf"],
+        ["audit", "--window", GAUSS, "--trials", "0"],
+        ["audit", "--window", GAUSS, "--trials=-5"],
+        ["audit", "--window", GAUSS, "--n-max", "0"],
+        ["audit", "--window", GAUSS, "--n-max", "9"],
+        ["audit", "--window", GAUSS, "--alpha", "1/2", "--K", "0"],
+        ["audit", "--window", GAUSS, "--alpha", "1/2", "--K=-3"],
+        ["witness", "--window", GAUSS, "--K=-4"],
     ]
     for argv in cases:
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 64

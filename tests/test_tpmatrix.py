@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_pert
+from tpgabor import tpmatrix
 from tpgabor.lattice import PerturbationSeq, reduce
 from tpgabor.tpmatrix import (TPMatrixError, alternating_witness, build_G,
                               inverse_decay_profile, tp_minor_audit)
@@ -120,6 +122,65 @@ def test_minor_audit_caps_n(gauss):
     sec = build_G(gauss, const_pert(0.2), K=8)
     with pytest.raises(TPMatrixError):
         tp_minor_audit(sec, n_max=9, trials=10)
+    for n_max, trials in ((0, 10), (-1, 10), (6, 0), (6, -5)):
+        with pytest.raises(TPMatrixError):
+            tp_minor_audit(sec, n_max=n_max, trials=trials)
+
+
+def _scalar_audit(A, n_max, trials, seed):
+    """The audit's draws replayed one minor at a time: (min_det, min_scaled)."""
+    min_det = min_scaled = math.inf
+    rng = np.random.default_rng(seed)
+    for rows, cols in tpmatrix._minor_draws(*A.shape, n_max, trials, rng):
+        for r, c in zip(rows, cols):
+            sub = A[np.ix_(r, c)]
+            d = float(np.linalg.det(sub))
+            denom = float(np.max(np.abs(sub))) ** len(r)
+            min_det = min(min_det, d)
+            min_scaled = min(min_scaled, d / denom if denom > 1e-280 else 0.0)
+    return min_det, min_scaled
+
+
+@pytest.mark.parametrize("rows, cols, K, n_max", [
+    (slice(None), slice(None), 10, 6),     # square
+    (slice(2, 14), slice(0, 21), 10, 6),   # non-square, 12 x 21
+    (slice(None), slice(None), 1, 6),      # 3 x 3: m < n_max
+    (slice(None), slice(None), 8, 8),
+])
+def test_minor_audit_matches_scalar_replay(gauss, monkeypatch, rows, cols, K, n_max):
+    sec = build_G(gauss, const_pert(0.2), K=K)
+    sec = dataclasses.replace(sec, entries=sec.entries[rows, cols])
+    # chunks of 7 trials: several full chunks and a partial last one
+    monkeypatch.setattr(tpmatrix, "_AUDIT_KEYS", 7 * max(sec.shape))
+    trials = 7 * 40 + 3
+    rep = tp_minor_audit(sec, n_max=n_max, trials=trials, seed=3)
+    assert (rep.min_det, rep.min_scaled_det) == _scalar_audit(
+        sec.entries, n_max, trials, 3)
+    assert rep.passed and rep.trials == trials
+
+
+def test_minor_audit_draws_uniform():
+    # 5 x 5 section, sizes 1..3: every size and every sorted row (and
+    # column) subset of a size within 5 standard errors of uniform
+    trials, n_max, m = 30000, 3, 5
+
+    def within_5_se(count, n, q):
+        return abs(count - n * q) <= 5 * math.sqrt(n * q * (1 - q))
+
+    subsets = {k: (Counter(), Counter()) for k in range(1, n_max + 1)}
+    for rows, cols in tpmatrix._minor_draws(m, m, n_max, trials,
+                                            np.random.default_rng(11)):
+        for idx, seen in zip((rows, cols), subsets[rows.shape[1]]):
+            assert np.all(np.diff(idx, axis=1) > 0)
+            seen.update(map(tuple, idx.tolist()))
+    assert sum(sum(r.values()) for r, _ in subsets.values()) == trials
+    for k, (row_seen, col_seen) in subsets.items():
+        cnt = sum(row_seen.values())
+        assert within_5_se(cnt, trials, 1 / n_max)
+        for seen in (row_seen, col_seen):
+            assert len(seen) == math.comb(m, k)
+            assert all(within_5_se(c, cnt, 1 / math.comb(m, k))
+                       for c in seen.values())
 
 
 # ------------------------------------------------------------ inverse decay
