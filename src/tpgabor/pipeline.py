@@ -96,7 +96,7 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     xs = np.arange(n // math.gcd(n, lat.q)) / n
     K = max(16, lat.p // 2)
     min_nu = float("inf")
-    min_sigma = float("inf")
+    min_sigma = sigma_cert = float("inf")
     all_invertible = True
     witness_fail = None
     for x in xs:
@@ -109,11 +109,13 @@ def diagnose(w: TPWindow, lat: RationalLattice,
         cert = injectivity_scan(g, lat, pert, xi_grid_n=opts.xi_grid_n,
                                 sigma_tol=opts.sigma_tol, tol=opts.tail_tol)
         min_sigma = min(min_sigma, cert.min_sigma)
+        sigma_cert = min(sigma_cert, cert.sigma_cert)
         all_invertible = all_invertible and cert.invertible
     evidence.append({"kind": "alternating_witness", "min_nu": min_nu,
                      "x_grid_n": opts.cert_x_grid_n,
                      "failure": witness_fail})
     evidence.append({"kind": "injectivity", "min_sigma": min_sigma,
+                     "sigma_cert": sigma_cert, "sigma_tol": opts.sigma_tol,
                      "all_invertible": all_invertible,
                      "x_grid_n": opts.cert_x_grid_n})
 

@@ -147,8 +147,8 @@ def _minor_draws(m: int, n: int, n_max: int, trials: int, rng):
 
     Per chunk of ``_AUDIT_KEYS // max(m, n)`` trials (at least one) the
     sizes k are uniform on 1..n_max; the trials of one size get
-    independent, uniform, sorted row and column subsets of sizes
-    min(k, m) and min(k, n).
+    independent, uniform, sorted row and column subsets, both of size
+    min(k, m, n), so every minor is square.
     """
     chunk = max(1, _AUDIT_KEYS // max(m, n))
     for start in range(0, trials, chunk):
@@ -156,8 +156,8 @@ def _minor_draws(m: int, n: int, n_max: int, trials: int, rng):
         for k in range(1, n_max + 1):
             cnt = int(np.count_nonzero(sizes == k))
             if cnt:
-                yield (_subsets(rng, cnt, m, min(k, m)),
-                       _subsets(rng, cnt, n, min(k, n)))
+                kk = min(k, m, n)
+                yield _subsets(rng, cnt, m, kk), _subsets(rng, cnt, n, kk)
 
 
 def tp_minor_audit(section: MatrixSection, n_max: int = 6,

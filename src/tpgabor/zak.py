@@ -51,16 +51,17 @@ class ZakZero:
     residual: float
 
 
-def zak_bank(w: TPWindow, p: float, points: np.ndarray, xis,
-             tol: float) -> np.ndarray:
-    """Z_p g(point, xi) for every (point, xi) pair; shape (npts, nxi).
+def _zak_samples(w: TPWindow, p: float, points: np.ndarray,
+                 tol: float) -> tuple:
+    """The shifts k and the window samples g(point - p k) of the Zak sum.
 
-    Window samples below tol * eps in modulus are flushed to zero before the
-    phase sum, which moves each value by at most (2K + 1) tol eps for the
-    2K + 1 terms kept, far inside the certified tail tol.  Without the flush
-    the far tails of a fast-decaying window (the Gaussian at large p) feed
-    subnormal numbers into every product formed from the bank, which slows
-    the matrix kernels down several times over.
+    Returns (k, gmat), gmat of shape (npts, 2K + 1).  Samples below
+    tol * eps in modulus are flushed to zero, which moves each value by at
+    most (2K + 1) tol eps for the 2K + 1 terms kept, far inside the
+    certified tail tol.  Without the flush the far tails of a fast-decaying
+    window (the Gaussian at large p) feed subnormal numbers into every
+    product formed from the bank, which slows the matrix kernels down
+    several times over.
     """
     R = truncation_radius(w, tol)
     # every omitted term has |point - p k| > R, so the tail stays below tol
@@ -68,6 +69,17 @@ def zak_bank(w: TPWindow, p: float, points: np.ndarray, xis,
     k = np.arange(-K, K + 1)
     gmat = w(points[:, None] - p * k[None, :])
     gmat[np.abs(gmat) < tol * np.finfo(float).eps] = 0.0
+    return k, gmat
+
+
+def zak_bank(w: TPWindow, p: float, points: np.ndarray, xis, tol: float,
+             samples: tuple | None = None) -> np.ndarray:
+    """Z_p g(point, xi) for every (point, xi) pair; shape (npts, nxi).
+
+    ``samples`` is the (k, gmat) pair of :func:`_zak_samples` for these
+    points, for a caller that sums the same samples at several xi sets.
+    """
+    k, gmat = _zak_samples(w, p, points, tol) if samples is None else samples
     phases = np.exp(2j * math.pi * p * np.outer(k, xis))
     return gmat @ phases
 
@@ -143,14 +155,12 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
             min_abs=residual, argmin=(x0, 0.5))
 
     # uniqueness on the grid: any other near-zero cell is a hard error
-    ii, jj = np.meshgrid(np.arange(grid_n), np.arange(grid_n), indexing="ij")
+    ii, jj = np.divmod(np.flatnonzero(A < 10.0 * zero_tol), grid_n)
     dx = np.abs(ii / grid_n - x0)
     dx = np.minimum(dx, 1.0 - dx)
     dxi = np.abs(jj / grid_n - 0.5)
     dxi = np.minimum(dxi, 1.0 - dxi)
-    far = np.maximum(dx, dxi) > 1.5 / grid_n
-    bad = far & (A < 10.0 * zero_tol)
-    if np.any(bad):
+    if np.any(np.maximum(dx, dxi) > 1.5 / grid_n):
         raise ZakError("multiple Zak-zero candidates on the grid; "
                        "numeric failure (theory forbids a second zero)")
     return ZakZero(x0=float(x0), xi0=0.5, residual=float(residual))

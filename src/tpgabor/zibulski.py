@@ -1,9 +1,11 @@
 """Zibulski-Zeevi matrices A(xi) and B(x, xi), built on the Zak kernel.
 
 A_{rs}(xi) = Z_p g(r + delta_r - s, xi) on xi in [0, 1/p] is the p x p
-certificate for injectivity of the perturbed matrix G: pointwise
-invertibility of A certifies that G is one-to-one; the scan records both
-min |det A| (diagnostic) and min sigma_min (the certified quantity).
+certificate for injectivity of the perturbed matrix G: invertibility of A
+at every xi certifies that G is one-to-one.  The injectivity scan covers
+xi by cells and certifies a lower bound sigma_cert on sigma_min(A(xi))
+from a Lipschitz bound read off the window samples; it also records
+min |det A| and min sigma_min over the nodes it evaluated (diagnostics).
 B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi) is the q x p transfer matrix
 whose spectral window gives the pre-Gramian frame-bound estimates.  Both
 are banks of :func:`tpgabor.zak.zak_bank` values.  The injectivity scan
@@ -22,7 +24,7 @@ import numpy as np
 from .lattice import PerturbationSeq, RationalLattice
 from .tpmatrix import G_entries
 from .windows import TPWindow, truncation_radius
-from .zak import zak_bank
+from .zak import _zak_samples, zak_bank
 
 
 class ZibulskiError(RuntimeError):
@@ -46,7 +48,9 @@ class InjectivityCertificate:
     min_sigma: float
     xi_grid_n: int
     verdict: str  # "Invertible" | "Degenerate"
-    min_sigma_coarse: float = float("nan")
+    # certified lower bound on sigma_min(A(xi)) over all xi; 0 is the
+    # trivial one
+    sigma_cert: float = 0.0
 
     @property
     def invertible(self) -> bool:
@@ -64,21 +68,27 @@ class FactorizationReport:
 def zz_matrix(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
               xi: float, tol: float = 1e-10) -> ZZMatrix:
     """The p x p matrix A(xi) with entries Z_p g(r + delta_r - s, xi)."""
-    if pert.p != lat.p:
-        raise ZibulskiError("perturbation period does not match lattice p")
     if not -1e-12 <= xi <= 1.0 / lat.p + 1e-12:
         raise ZibulskiError("xi must lie in [0, 1/p]")
     return ZZMatrix(xi=float(xi),
                     entries=_A_stack(w, lat, pert, np.array([xi]), tol)[0])
 
 
+def _A_points(lat: RationalLattice, pert: PerturbationSeq) -> np.ndarray:
+    """The p*p Zak arguments r + delta_r - s of A(xi), row-major in (r, s)."""
+    if pert.p != lat.p:
+        raise ZibulskiError("perturbation period does not match lattice p")
+    rs = np.arange(lat.p)
+    rows = rs + np.array([pert.delta(r) for r in rs], dtype=float)
+    return (rows[:, None] - rs[None, :]).ravel()
+
+
 def _A_stack(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
-             xis: np.ndarray, tol: float) -> np.ndarray:
+             xis: np.ndarray, tol: float, samples: tuple | None = None
+             ) -> np.ndarray:
     p = lat.p
-    rs = np.arange(p)
-    pts = np.array([[r + pert.delta(r) - s for s in rs] for r in rs], dtype=float)
-    bank = zak_bank(w, p, pts.ravel(), xis, tol)  # (p*p, nxi)
-    return np.moveaxis(bank.reshape(p, p, len(xis)), 2, 0)  # (nxi, p, p)
+    bank = zak_bank(w, p, _A_points(lat, pert), xis, tol, samples)  # (p*p, nxi)
+    return bank.reshape(p, p, len(xis)).transpose(2, 0, 1)  # (nxi, p, p)
 
 
 def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
@@ -91,53 +101,85 @@ def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     return s[:, -1], np.prod(s, axis=1)
 
 
-def _scan_min(w, lat, pert, xis, tol):
-    smin, dets = a_landscape(w, lat, pert, xis, tol)
-    i = int(np.argmin(smin))
-    return float(smin[i]), float(np.min(dets)), float(xis[i]), smin
-
-
 def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
                      xi_grid_n: int = 128, sigma_tol: float = 1e-8,
                      tol: float = 1e-10) -> InjectivityCertificate:
-    """Scan sigma_min(A(xi)) and |det A(xi)| over [0, 1/p].
-
-    Verdict "Invertible" requires min sigma above sigma_tol on the doubled
-    grid with the coarse/fine minima agreeing within 10%; the coarse grid
-    is the even points of the doubled one.  The minimum is then refined
-    locally by two rounds of grid doubling, which may cross 1/(2p).
+    """Certify sigma_min(A(xi)) > sigma_tol for every xi, by cells of [0, 1/(2p)].
 
     g is real, so A(1/p - xi) = conj A(xi) has the same singular values and
-    determinant modulus, and only the doubled-grid points with xi <= 1/(2p)
-    are evaluated.  The mirror of point i is 2 xi_grid_n - i, of the same
-    parity, so both the coarse and the fine minimum are those of the whole
-    grid.
+    determinant modulus, and A is 1/p-periodic: a cover of [0, 1/(2p)]
+    covers every xi.  A(xi)_{rs} = sum_k g(r + delta_r - s - p k)
+    e^{2 pi i p k xi} is a trigonometric polynomial in xi, so
+    ||A'(xi)|| <= L = 2 pi p ||D||_F with D_rs = sum_k |k| |g(...)|, taken
+    from the same window samples (drawn once per call).  sigma_min is then
+    L-Lipschitz, and on a cell [a, b] it is at least
+    (sigma_a + sigma_b - L (b - a)) / 2 - err, where err bounds the
+    truncation tail p tol (1 + (2K + 1) eps) and the rounding of the phase
+    sum and the SVD, (2K + 1 + p) eps ||S||_F with S_rs = sum_k |g(...)|
+    (so ||A(xi)|| <= ||S||_F).
+
+    The cell ends are nodes of linspace(0, 1/p, 2 xi_grid_n + 1), the
+    half of [0, 1/p] up to 1/(2p).  A cell is accepted once its bound is
+    at least half its smaller end value; otherwise it is split into
+    ceil(L (b - a) / (min end value - 2 err)) children (at least 2, at most
+    one per node step), and each round's new nodes share one SVD call.  A
+    one-step cell that still fails contributes max(bound, 0).  So at most
+    xi_grid_n + 1 nodes are evaluated.
+
+    ``sigma_cert`` is the minimum of the cell bounds, a lower bound on
+    sigma_min(A(xi)) over all xi; verdict "Invertible" iff
+    sigma_cert > sigma_tol.  ``min_sigma``, ``argmin_xi`` and
+    ``min_abs_det`` are taken over the evaluated nodes.
     """
     if xi_grid_n < 128:
         raise ZibulskiError("xi_grid_n must be at least 128")
-    p = lat.p
-    hi = 1.0 / p
-    xis_f = np.linspace(0.0, hi, 2 * xi_grid_n + 1)[:xi_grid_n + 1]
-    smin_f, dmin, arg, smins = _scan_min(w, lat, pert, xis_f, tol)
-    smin_c = float(np.min(smins[::2]))
+    p, n = lat.p, xi_grid_n
+    nodes = np.linspace(0.0, 1.0 / p, 2 * n + 1)[:n + 1]
+    k, gmat = samples = _zak_samples(w, p, _A_points(lat, pert), tol)
+    absg = np.abs(gmat)
+    L = 2.0 * math.pi * p * float(np.linalg.norm(absg @ np.abs(k)))
+    eps = np.finfo(float).eps
+    err = (p * tol * (1.0 + k.size * eps)
+           + (k.size + p) * eps * float(np.linalg.norm(absg.sum(axis=1))))
 
-    # local refinement around the argmin, two rounds of doubling
-    h = hi / (2 * xi_grid_n)
-    lo, up = max(0.0, arg - h), min(hi, arg + h)
-    for _ in range(2):
-        loc = np.linspace(lo, up, 33)
-        smin_l, dmin_l, arg, _ = _scan_min(w, lat, pert, loc, tol)
-        smin_f = min(smin_f, smin_l)
-        dmin = min(dmin, dmin_l)
-        h = (up - lo) / 32
-        lo, up = max(0.0, arg - h), min(hi, arg + h)
+    sig, det = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
 
-    stable = smin_f > sigma_tol and abs(smin_c - smin_f) <= 0.1 * max(smin_f, 1e-300)
+    def evaluate(idx):
+        s = np.linalg.svd(_A_stack(w, lat, pert, nodes[idx], tol, samples),
+                          compute_uv=False)
+        sig[idx], det[idx] = s[:, -1], np.prod(s, axis=1)
+
+    # cells are node index pairs (i, j), i < j, handled a round at a time
+    i, j = np.array([0]), np.array([n])
+    evaluate(np.array([0, n]))
+    sigma_cert = math.inf
+    while i.size:
+        lo, width = np.minimum(sig[i], sig[j]), nodes[j] - nodes[i]
+        bound = (sig[i] + sig[j] - L * width) / 2.0 - err
+        done = (bound >= lo / 2.0) | (j - i == 1)
+        if done.any():
+            sigma_cert = min(sigma_cert, max(float(np.min(bound[done])), 0.0))
+        i, j, lo, width = i[~done], j[~done], lo[~done], width[~done]
+        margin = lo - 2.0 * err
+        need = np.divide(L * width, margin, out=np.full(i.size, np.inf),
+                         where=margin > 0)
+        steps = j - i
+        c = np.minimum(steps, np.maximum(2, np.ceil(need))).astype(int)
+        # child t of a cell spans [i + t steps // c, i + (t + 1) steps // c]
+        cell = np.repeat(np.arange(i.size), c)
+        t = np.arange(cell.size) - np.repeat(np.cumsum(c) - c, c)
+        i, j = (i[cell] + t * steps[cell] // c[cell],
+                i[cell] + (t + 1) * steps[cell] // c[cell])
+        new = j[np.isnan(sig[j])]  # the cells are disjoint and in order
+        if new.size:
+            evaluate(new)
+
+    i = int(np.nanargmin(sig))
     return InjectivityCertificate(
-        min_abs_det=dmin, argmin_xi=arg, min_sigma=smin_f,
-        xi_grid_n=xi_grid_n,
-        verdict="Invertible" if stable else "Degenerate",
-        min_sigma_coarse=smin_c)
+        min_abs_det=float(np.nanmin(det)), argmin_xi=float(nodes[i]),
+        min_sigma=float(sig[i]), xi_grid_n=xi_grid_n,
+        verdict="Invertible" if sigma_cert > sigma_tol else "Degenerate",
+        sigma_cert=sigma_cert)
 
 
 def fourier_factorization_check(w: TPWindow, lat: RationalLattice,

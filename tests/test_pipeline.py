@@ -45,6 +45,16 @@ def test_diagnose_attaches_all_certificates(gauss):
     assert diagnosis_min_sigma(diag) > 0
 
 
+def test_injectivity_evidence_carries_sigma_cert(sech):
+    # sigma_cert is the minimum of the per-x certified bounds and decides
+    # all_invertible against sigma_tol
+    diag = diagnose(sech, reduce("1/2", 1), FAST)
+    rec = next(e for e in diag.evidence if e["kind"] == "injectivity")
+    assert rec["sigma_tol"] == FAST.sigma_tol
+    assert FAST.sigma_tol < rec["sigma_cert"] <= rec["min_sigma"]
+    assert rec["all_invertible"] and diag.verdict == "Frame"
+
+
 def test_diagnose_one_sided_subcritical_uses_anchor(ose):
     # no Zak zero exists; the pipeline anchors the admissible interval at
     # the |Zg| minimizer and must still certify the frame below density 1

@@ -159,6 +159,19 @@ def test_minor_audit_matches_scalar_replay(gauss, monkeypatch, rows, cols, K, n_
     assert rep.passed and rep.trials == trials
 
 
+def test_minor_audit_non_square_below_n_max(gauss):
+    # a 3 x 9 slice with n_max = 6: sizes 3..6 all draw square 3 x 3 minors
+    sec = build_G(gauss, const_pert(0.2), K=16)
+    sec = dataclasses.replace(sec, entries=sec.entries[:3, :9])
+    rep = tp_minor_audit(sec, n_max=6, trials=500, seed=0)
+    assert (rep.min_det, rep.min_scaled_det) == _scalar_audit(
+        sec.entries, 6, 500, 0)
+    assert rep.passed
+    for rows, cols in tpmatrix._minor_draws(3, 9, 6, 500,
+                                            np.random.default_rng(0)):
+        assert rows.shape == cols.shape and rows.shape[1] <= 3
+
+
 def test_minor_audit_draws_uniform():
     # 5 x 5 section, sizes 1..3: every size and every sorted row (and
     # column) subset of a size within 5 standard errors of uniform

@@ -252,3 +252,29 @@ def test_half_line_rejects_imaginary_part(gauss, monkeypatch):
         zak_on_half_line(gauss, 0.1)
     with pytest.raises(ZakError):
         zak_on_half_line(gauss, np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("cell, raises", [
+    ((0, 0), True), ((100, 200), True),
+    ((129, 129), False),    # next to the zero's cell: the same candidate
+    ((40, 60), False),      # far, but above 10 * zero_tol
+])
+def test_locate_zero_rejects_second_candidate(gauss, monkeypatch, cell, raises):
+    # a second grid cell below 10 * zero_tol away from the located zero is a
+    # numeric failure; the zero sits at grid cell (128, 128) of 256
+    zakmod = importlib.import_module("tpgabor.zak")
+    bank = zakmod.zak_bank
+    value = 5e-10 if raises or cell == (129, 129) else 2e-9
+
+    def second_zero(*args, **kwargs):
+        out = bank(*args, **kwargs)
+        if out.shape == (256, 256):
+            out[cell] = value
+        return out
+
+    monkeypatch.setattr(zakmod, "zak_bank", second_zero)
+    if raises:
+        with pytest.raises(ZakError, match="multiple Zak-zero candidates"):
+            locate_zero(gauss, zero_tol=1e-10)
+    else:
+        assert abs(locate_zero(gauss, zero_tol=1e-10).x0 - 0.5) < 1e-12

@@ -130,6 +130,14 @@ def test_injectivity_two_sided_exp(tsexp, zak_zeros):
     assert cert.verdict == "Invertible"
 
 
+def test_injectivity_rejects_period_mismatch(gauss, gauss_pert_23):
+    _, pert = gauss_pert_23  # p = 2
+    with pytest.raises(ZibulskiError):
+        injectivity_scan(gauss, reduce("1/2", 1), pert)
+    with pytest.raises(ZibulskiError):
+        a_landscape(gauss, reduce("3/4", 1), pert, np.array([0.0]), 1e-10)
+
+
 def test_injectivity_grid_floor(gauss, gauss_pert_23):
     lat, pert = gauss_pert_23
     with pytest.raises(ZibulskiError):
@@ -160,17 +168,80 @@ def test_det_continuity_on_grid(gauss, gauss_pert_23):
 
 @pytest.mark.parametrize("name, alpha", [("sech", "5/8"), ("ose", "5/7")])
 def test_injectivity_half_grid_loses_nothing(request, name, alpha):
-    # A(1/p - xi) = conj A(xi): the scan of xi <= 1/(2p) finds the minima of
-    # the whole doubled grid of [0, 1/p]
+    # A(1/p - xi) = conj A(xi): the cover of xi <= 1/(2p) bounds the minimum
+    # over the whole doubled grid of [0, 1/p], whose points include the nodes
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
     pert = select_perturbation(lat, 0.1, zak_anchor(w, PipelineOptions())[0])
     cert = injectivity_scan(w, lat, pert)
     xis = np.linspace(0.0, 1.0 / lat.p, 2 * cert.xi_grid_n + 1)
     smin, _ = a_landscape(w, lat, pert, xis, 1e-10)
-    coarse = np.min(smin[::2])
-    assert abs(cert.min_sigma_coarse - coarse) <= 1e-12 * coarse
-    assert cert.min_sigma <= np.min(smin) * (1 + 1e-12)
+    assert 0 < cert.sigma_cert <= np.min(smin)
+    assert np.min(smin) <= cert.min_sigma * (1 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def anchors():
+    return {name: zak_anchor(WINDOWS[name], PipelineOptions())[0]
+            for name in ("gauss", "sech", "tsexp", "ose")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["gauss", "sech", "tsexp", "ose"]),
+       q=st.integers(2, 16), p=st.integers(1, 15),
+       x=st.floats(0.0, 1.0, exclude_max=True))
+def test_sigma_cert_below_dense_sigma_min(anchors, name, q, p, x):
+    # sigma_cert is a lower bound on sigma_min(A(xi)) at every xi of [0, 1/p]
+    d = math.gcd(min(p, q - 1), q)
+    lat = RationalLattice(p=min(p, q - 1) // d, q=q // d)
+    w = WINDOWS[name]
+    pert = select_perturbation(lat, x, anchors[name])
+    cert = injectivity_scan(w, lat, pert)
+    xis = np.linspace(0.0, 1.0 / lat.p, 2049)
+    smin, _ = a_landscape(w, lat, pert, xis, 1e-10)
+    assert 0 <= cert.sigma_cert <= np.min(smin)
+    assert cert.invertible == (cert.sigma_cert > 1e-8)
+
+
+def _count_svd_matrices(monkeypatch):
+    counts = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        counts.append(np.asarray(a).shape[0] if np.ndim(a) == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name, alpha, x, n", [
+    ("gauss", "1/2", None, 128), ("gauss", "1/2", None, 200),
+    ("sech", "1/2", 0.1, 128), ("sech", "7/8", 0.3, 128),
+    ("tsexp", "3/4", 0.2, 128), ("ose", "5/7", 0.1, 130)])
+def test_injectivity_evaluations_within_grid(request, monkeypatch, name,
+                                             alpha, x, n):
+    # every node is evaluated at most once, so at most xi_grid_n + 1 SVDs;
+    # x = None is the degenerate delta_0 = x0, which splits down to one step
+    w = request.getfixturevalue(name)
+    lat = reduce(alpha, 1)
+    pert = (const_pert(0.5) if x is None else
+            select_perturbation(lat, x, zak_anchor(w, PipelineOptions())[0]))
+    counts = _count_svd_matrices(monkeypatch)
+    cert = injectivity_scan(w, lat, pert, xi_grid_n=n)
+    assert sum(counts) <= n + 1
+    assert cert.invertible == (x is not None)
+
+
+def test_injectivity_verdict_is_sigma_cert_against_tol(gauss, zak_zeros):
+    lat = reduce("2/3", 1)
+    pert = make_pert(lat, 0.1, zak_zeros["gauss"].x0)
+    cert = injectivity_scan(gauss, lat, pert)
+    assert 0 < cert.sigma_cert <= cert.min_sigma
+    assert injectivity_scan(gauss, lat, pert,
+                            sigma_tol=cert.sigma_cert).verdict == "Degenerate"
+    below = np.nextafter(cert.sigma_cert, 0.0)
+    assert injectivity_scan(gauss, lat, pert, sigma_tol=below).invertible
 
 
 @pytest.mark.parametrize("name, alpha", [("gauss", "3/8"), ("sech", "5/8"),
