@@ -3,8 +3,12 @@
 The CLI parses, validates and formats; every number it prints comes from
 the library.  The lattice subcommands read their window, lattice and
 options through ``_setup``; the data commands add their perturbation
-through ``_perturbation``, anchored as in ``diagnose``.  The option flags
-are generated from ``PipelineOptions`` and have no defaults of their own.
+through ``_perturbation``, anchored as in ``diagnose``.  Each subcommand
+takes a flag for every ``PipelineOptions`` setting it reads and for no
+other: the verdict commands (diagnose, scan, bounds) take all of them, the
+data commands only theirs.  The flags have no defaults of their own, so a
+setting that is absent, or that a subcommand does not take, keeps its
+``PipelineOptions`` default.
 
 All outputs are deterministic for a fixed configuration: iteration orders
 are fixed, randomized audits take an explicit seed, and scan workers are
@@ -101,7 +105,7 @@ def _ladder(text: str) -> tuple:
 
 def _options(args) -> PipelineOptions:
     """PipelineOptions from the flags given; absent flags keep its defaults."""
-    given = ((f.name, getattr(args, f.name.lower()))
+    given = ((f.name, getattr(args, f.name.lower(), None))
              for f in fields(PipelineOptions))
     opts = PipelineOptions(**{k: v for k, v in given if v is not None})
     try:
@@ -114,17 +118,23 @@ def _options(args) -> PipelineOptions:
 def _setup(args, candidate=False):
     """(window, reduced lattice, options) of a lattice subcommand.
 
-    ``candidate`` requires alpha*beta < 1 (the data commands plot
-    certificates that exist only there); otherwise alpha*beta <= 2.
+    alpha*beta must lie in (0, 2], and with ``candidate`` below 1 (the data
+    commands plot certificates that exist only there).
     """
     w = _load_window(args.window)
-    lat = reduce(_parse_rational(args.alpha, "alpha"),
-                 _parse_rational(args.beta, "beta"))
+    lat = _lattice(args.alpha, _parse_rational(args.beta, "beta"))
     if candidate:
         lat.require_frame_candidate()
-    elif lat.alpha > 2:
-        raise ConfigError("alpha*beta outside the supported range (0, 2]")
     return w, lat, _options(args)
+
+
+def _lattice(alpha: str, beta: Fraction):
+    """The reduced lattice of alpha and beta, if alpha*beta is in (0, 2]."""
+    lat = reduce(_parse_rational(alpha, "alpha"), beta)
+    if lat.alpha > 2:
+        raise ConfigError(f"alpha*beta = {lat.alpha} outside the supported "
+                          "range (0, 2]")
+    return lat
 
 
 def _perturbation(args, periods=None):
@@ -198,12 +208,8 @@ def cmd_scan(args) -> int:
     w = _load_window(args.window)
     beta = _parse_rational(args.beta, "beta")
     alphas = [s.strip() for s in args.alphas.split(",") if s.strip()]
-    lats = [reduce(_parse_rational(a, "alpha"), beta) for a in alphas]
-    for lat in lats:
-        if lat.alpha > 2:
-            raise ConfigError(f"alpha*beta = {lat.alpha} outside (0, 2]")
     opts = _options(args)
-    work = [(w, a, str(beta), lat, opts) for a, lat in zip(alphas, lats)]
+    work = [(w, a, str(beta), _lattice(a, beta), opts) for a in alphas]
     if (args.jobs or 1) > 1 and len(work) > 1:
         with Pool(processes=args.jobs) as pool:
             rows = pool.map(_scan_point, work)
@@ -309,15 +315,20 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                     "over rational lattices")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help):
+    def add(name, func, help, settings=None, lattice=True):
+        """A subcommand with a flag per PipelineOptions field in ``settings``
+        (every field if None), and --alpha/--beta if ``lattice``."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=func)
         sp.add_argument("--window", help="window JSON spec, @file, or *.json path")
-        sp.add_argument("--alpha", default="1/2")
-        sp.add_argument("--beta", default="1")
+        if lattice:
+            sp.add_argument("--alpha", default="1/2")
+            sp.add_argument("--beta", default="1")
         for f in fields(PipelineOptions):  # no default: see _options
-            sp.add_argument("--" + f.name.lower().replace("_", "-"),
-                            type=_ladder if f.name == "J_ladder" else type(f.default))
+            if settings is None or f.name in settings:
+                sp.add_argument("--" + f.name.lower().replace("_", "-"),
+                                type=_ladder if f.name == "J_ladder"
+                                else type(f.default))
         sp.add_argument("--output", default=None)
         sp.add_argument("--config", default=None,
                         help="JSON config file; explicit flags win")
@@ -330,14 +341,18 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=os.environ.get("TPGABOR_JOBS"),
                     help="worker processes (default: $TPGABOR_JOBS, else 1)")
     add("bounds", cmd_bounds, "frame-bound estimate only")
-    sp = add("zak", cmd_zak, "Zak transform heatmap CSV")
+    sp = add("zak", cmd_zak, "Zak transform heatmap CSV", ("tail_tol",),
+             lattice=False)
     sp.add_argument("--grid-n", type=int, default=128)
-    sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV")
+    sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV",
+             ("xi_grid_n", "tail_tol", "zak_grid_n", "zero_tol"))
     sp.add_argument("--x", type=_finite_float, default=0.0)
-    sp = add("witness", cmd_witness, "alternating witness vector")
+    sp = add("witness", cmd_witness, "alternating witness vector",
+             ("tail_tol", "zak_grid_n", "zero_tol"))
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
-    sp = add("audit", cmd_audit, "randomized TP minor audit")
+    sp = add("audit", cmd_audit, "randomized TP minor audit",
+             ("zak_grid_n", "zero_tol"))
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
     sp.add_argument("--n-max", type=int, default=6)

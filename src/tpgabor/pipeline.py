@@ -61,15 +61,15 @@ def zak_anchor(g: TPWindow, opts: PipelineOptions) -> tuple:
 
     x0 is the located Zak zero; a window outside the unique-zero hypothesis
     (one-sided exponential) admits any interval, so it is anchored at the
-    |Zg| grid minimizer mod 1, or at 0.5 when the scan reports none.
+    |Zg| grid minimizer mod 1.
     """
     try:
         zz = locate_zero(g, grid_n=opts.zak_grid_n, zero_tol=opts.zero_tol)
     except ZakZeroNotFound as e:
-        x0 = float(e.argmin[0]) % 1.0 if e.argmin is not None else 0.5
-        return x0, {"kind": "zak_zero", "x0": None, "min_abs": e.min_abs,
-                    "detail": "no Zak zero below tolerance; using the "
-                              "|Zg| minimizer as interval anchor"}
+        return float(e.argmin[0]) % 1.0, {
+            "kind": "zak_zero", "x0": None, "min_abs": e.min_abs,
+            "detail": "no Zak zero below tolerance; using the "
+                      "|Zg| minimizer as interval anchor"}
     return zz.x0, {"kind": "zak_zero", "x0": zz.x0, "xi0": zz.xi0,
                    "residual": zz.residual}
 

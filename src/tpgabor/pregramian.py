@@ -11,7 +11,7 @@ infinite-matrix stability is only observable as truncation-stable behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +40,7 @@ class FrameDiagnosis:
     evidence: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"verdict": self.verdict,
-                "lower_bound_est": self.lower_bound_est,
-                "upper_bound_est": self.upper_bound_est,
-                "worst_x": self.worst_x,
-                "evidence": self.evidence}
+        return asdict(self)
 
 
 def _lattice_grid_section(w: TPWindow, lat: RationalLattice, x: float,

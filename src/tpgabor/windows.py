@@ -26,8 +26,10 @@ class DecayProfile:
     rate: float
 
     def __post_init__(self):
-        if self.C <= 0 or self.rate <= 0:
-            raise WindowError("envelope constants must be positive")
+        # every window kind and dilation builds one: a nan or infinite
+        # parameter ends here as bad input, not later as a numeric crash
+        if not (0 < self.C < math.inf and 0 < self.rate < math.inf):
+            raise WindowError("envelope constants must be finite and positive")
 
     def envelope(self, t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -78,11 +80,15 @@ class Gaussian(TPWindow):
     decay: DecayProfile = field(init=False)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise WindowError("Gaussian needs gamma > 0")
-        lam = 2.0 * self.gamma
-        # sup_t exp(lam|t| - gamma t^2) = exp(lam^2/(4 gamma)) = exp(gamma)
-        object.__setattr__(self, "decay", DecayProfile(C=math.exp(self.gamma), rate=lam))
+        if not 0 < self.gamma < math.inf:
+            raise WindowError("Gaussian needs a finite gamma > 0")
+        # sup_t exp(lam|t| - gamma t^2) = exp(lam^2/(4 gamma)) for any rate
+        # lam: lam = 2 gamma gives C = exp(gamma) up to gamma = 100, and the
+        # cap lam <= 200 keeps C below e^100 beyond
+        lam = min(2.0 * self.gamma, 200.0)
+        C = (math.exp(self.gamma) if lam == 2.0 * self.gamma
+             else math.exp(lam * lam / (4.0 * self.gamma)))
+        object.__setattr__(self, "decay", DecayProfile(C=C, rate=lam))
 
     @property
     def even(self) -> bool:
@@ -364,12 +370,16 @@ def window_from_config(cfg: dict) -> TPWindow:
 
 
 def _number(value, key: str) -> float:
-    """A window config field as a float; a missing field arrives as None."""
+    """A window config field as a finite float; a missing field arrives as
+    None, and a JSON true or false is not a number."""
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or not math.isfinite(x):
         raise WindowError(f"window config field {key!r} is missing or not "
-                          f"a number: {value!r}") from None
+                          f"a finite number: {value!r}")
+    return x
 
 
 def truncation_radius(w: TPWindow, tol: float) -> int:

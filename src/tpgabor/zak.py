@@ -24,7 +24,7 @@ class ZakError(RuntimeError):
 class ZakZeroNotFound(ZakError):
     """No zero of |Zg| below tolerance exists in the fundamental domain."""
 
-    def __init__(self, msg, min_abs=None, argmin=None):
+    def __init__(self, msg, min_abs, argmin):
         super().__init__(msg)
         self.min_abs = min_abs
         self.argmin = argmin
@@ -115,39 +115,38 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
                 tol: float = 1e-12) -> ZakZero:
     """Locate the unique zero of Zg in [0,1)^2.
 
-    Scans |Zg| on a grid, then refines x by sign-change bisection of the
-    real-valued section x -> Zg(x, 1/2).  Raises :class:`ZakZeroNotFound`
-    if no zero exists (window outside the unique-zero hypothesis) and
-    :class:`ZakError` if a second candidate cell shows up.
+    Scans |Zg| on the grid x = i/n, xi = j/n (n = grid_n) for
+    0 <= j <= n/2 only: g is real, so Zg(x, 1 - xi) = conj Zg(x, xi), and
+    the half grid holds every value of |Zg| on the full one.  Then refines
+    x by sign-change bisection of the real-valued section
+    x -> Zg(x, 1/2).  Raises :class:`ZakZeroNotFound` if no zero exists
+    (window outside the unique-zero hypothesis) and :class:`ZakError` if a
+    second candidate cell shows up.
     """
     if grid_n < 64:
         raise ZakError("grid_n must be at least 64")
     grid = np.arange(grid_n) / grid_n
-    A = np.abs(zak_bank(w, 1.0, grid, grid, tol))  # [x, xi]
+    A = np.abs(zak_bank(w, 1.0, grid, grid[:grid_n // 2 + 1], tol))  # [x, xi]
     i0, j0 = np.unravel_index(np.argmin(A), A.shape)
     xi_cell = j0 / grid_n
 
     # the zero must sit on the line xi = 1/2
-    if min(abs(xi_cell - 0.5), 1.0 - abs(xi_cell - 0.5)) > 1.5 / grid_n:
+    if 0.5 - xi_cell > 1.5 / grid_n:
         raise ZakZeroNotFound(
             f"grid minimum |Zg| = {A[i0, j0]:.3g} is not on the xi = 1/2 line",
             min_abs=float(A[i0, j0]), argmin=(i0 / grid_n, xi_cell))
 
     f = lambda x: zak_on_half_line(w, x, tol)
     h = 1.0 / grid_n
-    xc = i0 / grid_n
-    lo, hi = xc - h, xc + h
-    width = h
-    while f(lo) * f(hi) > 0:
+    xc, width = i0 / grid_n, h
+    while f(xc - width) * f(xc + width) > 0:
         width += h
-        lo, hi = xc - width, xc + width
         if width > 4 * h:
             raise ZakZeroNotFound(
                 f"no sign change of Zg(., 1/2) near grid minimum "
                 f"|Zg| = {A[i0, j0]:.3g}",
                 min_abs=float(A[i0, j0]), argmin=(xc, xi_cell))
-    x0 = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    x0 = x0 % 1.0
+    x0 = brentq(f, xc - width, xc + width, xtol=1e-14, rtol=8.9e-16) % 1.0
     residual = abs(zak(w, 1.0, x0, 0.5, tol).value)
     if residual >= zero_tol:
         raise ZakZeroNotFound(
@@ -155,12 +154,10 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
             min_abs=residual, argmin=(x0, 0.5))
 
     # uniqueness on the grid: any other near-zero cell is a hard error
-    ii, jj = np.divmod(np.flatnonzero(A < 10.0 * zero_tol), grid_n)
+    ii, jj = np.nonzero(A < 10.0 * zero_tol)
     dx = np.abs(ii / grid_n - x0)
     dx = np.minimum(dx, 1.0 - dx)
-    dxi = np.abs(jj / grid_n - 0.5)
-    dxi = np.minimum(dxi, 1.0 - dxi)
-    if np.any(np.maximum(dx, dxi) > 1.5 / grid_n):
+    if np.any(np.maximum(dx, 0.5 - jj / grid_n) > 1.5 / grid_n):
         raise ZakError("multiple Zak-zero candidates on the grid; "
                        "numeric failure (theory forbids a second zero)")
     return ZakZero(x0=float(x0), xi0=0.5, residual=float(residual))

@@ -92,12 +92,17 @@ def _A_stack(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
 
 
 def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
-                xis: np.ndarray, tol: float) -> tuple:
+                xis: np.ndarray, tol: float, samples: tuple | None = None
+                ) -> tuple:
     """The arrays (sigma_min(A(xi)), |det A(xi)|) over xis.
 
     |det A| is the product of the singular values, so one SVD gives both.
+    ``samples`` is the (k, gmat) pair of :func:`tpgabor.zak._zak_samples`
+    at the points of A, for a caller that evaluates several xi sets, as
+    :func:`injectivity_scan` does: its node values come from here.
     """
-    s = np.linalg.svd(_A_stack(w, lat, pert, xis, tol), compute_uv=False)
+    s = np.linalg.svd(_A_stack(w, lat, pert, xis, tol, samples),
+                      compute_uv=False)
     return s[:, -1], np.prod(s, axis=1)
 
 
@@ -143,17 +148,13 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
            + (k.size + p) * eps * float(np.linalg.norm(absg.sum(axis=1))))
 
     sig, det = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
-
-    def evaluate(idx):
-        s = np.linalg.svd(_A_stack(w, lat, pert, nodes[idx], tol, samples),
-                          compute_uv=False)
-        sig[idx], det[idx] = s[:, -1], np.prod(s, axis=1)
-
-    # cells are node index pairs (i, j), i < j, handled a round at a time
-    i, j = np.array([0]), np.array([n])
-    evaluate(np.array([0, n]))
+    # cells are node index pairs (i, j), i < j, handled a round at a time;
+    # ``new`` holds the nodes the round evaluates, in one a_landscape call
+    i, j, new = np.array([0]), np.array([n]), np.array([0, n])
     sigma_cert = math.inf
     while i.size:
+        sig[new], det[new] = a_landscape(w, lat, pert, nodes[new], tol,
+                                         samples)
         lo, width = np.minimum(sig[i], sig[j]), nodes[j] - nodes[i]
         bound = (sig[i] + sig[j] - L * width) / 2.0 - err
         done = (bound >= lo / 2.0) | (j - i == 1)
@@ -170,9 +171,9 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
         t = np.arange(cell.size) - np.repeat(np.cumsum(c) - c, c)
         i, j = (i[cell] + t * steps[cell] // c[cell],
                 i[cell] + (t + 1) * steps[cell] // c[cell])
-        new = j[np.isnan(sig[j])]  # the cells are disjoint and in order
-        if new.size:
-            evaluate(new)
+        # the cells are disjoint and in order, and each split one has a new
+        # interior node, so ``new`` is empty only when no cell is left
+        new = j[np.isnan(sig[j])]
 
     i = int(np.nanargmin(sig))
     return InjectivityCertificate(
@@ -206,17 +207,8 @@ def fourier_factorization_check(w: TPWindow, lat: RationalLattice,
     xis = np.linspace(0.0, 1.0 / p, xi_grid_n + 1)
     A = _A_stack(w, lat, pert, xis, tol)  # (nxi, p, p)
 
-    x_vec = np.empty((len(xis), p), dtype=complex)
-    y_vec = np.empty((len(xis), p), dtype=complex)
-    for r in range(p):
-        sel = (l_idx % p) == r
-        ns = (l_idx[sel] - r) // p
-        # e^{-2 pi i} series convention matches the Zak kernel orientation:
-        # sum_j g(x + p j) e^{-2 pi i p j xi} = Z_p g(x, xi)
-        x_vec[:, r] = np.exp(-2j * math.pi * p * np.outer(xis, ns)) @ c[sel]
-        selk = (ks - r) % p == 0
-        ms = (ks[selk] - r) // p
-        y_vec[:, r] = np.exp(-2j * math.pi * p * np.outer(xis, ms)) @ d[selk]
+    x_vec = _residue_series(l_idx, c, p, xis)
+    y_vec = _residue_series(ks, d, p, xis)
     y_from_A = np.einsum("nrs,ns->nr", A, x_vec)
     max_dev = float(np.max(np.abs(y_from_A - y_vec)))
     passed = max_dev < 100.0 * tol
@@ -226,6 +218,22 @@ def fourier_factorization_check(w: TPWindow, lat: RationalLattice,
             f">= {100 * tol:g}")
     return FactorizationReport(max_dev=max_dev, tol=tol, passed=passed,
                                xi_grid_n=xi_grid_n)
+
+
+def _residue_series(idx: np.ndarray, vals: np.ndarray, p: int,
+                    xis: np.ndarray) -> np.ndarray:
+    """Per residue r, the sum of vals[m] e^{-2 pi i p n xi} over the
+    entries m with idx[m] = r + p n; shape (nxi, p).
+
+    The e^{-2 pi i} convention matches the Zak kernel orientation:
+    sum_j g(x + p j) e^{-2 pi i p j xi} = Z_p g(x, xi).
+    """
+    out = np.empty((len(xis), p), dtype=complex)
+    for r in range(p):
+        sel = idx % p == r
+        ns = (idx[sel] - r) // p
+        out[:, r] = np.exp(-2j * math.pi * p * np.outer(xis, ns)) @ vals[sel]
+    return out
 
 
 def _transfer_stack(w: TPWindow, lat: RationalLattice, xs: np.ndarray,

@@ -369,16 +369,74 @@ def test_malformed_arguments_exit_64(tmp_path):
 
 
 def test_option_flags_mirror_pipeline_options():
-    # one flag per PipelineOptions field and no default of its own, so a
-    # new field cannot get a second default in the CLI
+    # one flag per PipelineOptions setting the command reads, none for the
+    # others, and no default of its own, so a new field cannot get a second
+    # default in the CLI
+    every = {f.name for f in fields(PipelineOptions)}
+    takes = {"diagnose": every, "scan": every, "bounds": every,
+             "zak": {"tail_tol"},
+             "zzdet": {"xi_grid_n", "tail_tol", "zak_grid_n", "zero_tol"},
+             "witness": {"tail_tol", "zak_grid_n", "zero_tol"},
+             "audit": {"zak_grid_n", "zero_tol"}}
     ap = cli.build_parser()
     sub = next(a for a in ap._actions if a.dest == "command")
-    for sp in sub.choices.values():
+    assert set(sub.choices) == set(takes)
+    for name, sp in sub.choices.items():
         for f in fields(PipelineOptions):
             flags = [a for a in sp._actions if a.dest == f.name.lower()]
-            assert len(flags) == 1 and flags[0].default is None
-    args = ap.parse_args(["diagnose", "--window", GAUSS])
-    assert cli._options(args) == PipelineOptions()
+            assert len(flags) == (f.name in takes[name])
+            assert all(a.default is None for a in flags)
+        has_lattice = any(a.dest in ("alpha", "beta") for a in sp._actions)
+        assert has_lattice == (name != "zak")
+    for argv in (["diagnose", "--window", GAUSS], ["zak", "--window", GAUSS]):
+        assert cli._options(ap.parse_args(argv)) == PipelineOptions()
+
+
+@pytest.mark.parametrize("argv", [
+    ["zak", "--grid-n", "8", "--sigma-tol", "1e-8"],
+    ["zak", "--grid-n", "8", "--alpha", "5/2"],
+    ["zak", "--grid-n", "8", "--j-ladder", "16,16,16"],
+    ["zzdet", "--alpha", "2/3", "--x-grid-n", "16"],
+    ["witness", "--alpha", "2/3", "--sigma-tol", "1e-8"],
+    ["audit", "--alpha", "1/2", "--tail-tol", "1e-10"],
+])
+def test_flags_a_command_does_not_read_exit_64(tmp_path, argv):
+    assert cli.main(argv + ["--window", GAUSS,
+                            "--output", str(tmp_path / "x")]) == 64
+
+
+def test_config_keys_a_command_does_not_read_are_dropped(tmp_path):
+    # one config file serves every command: zak ignores the lattice and the
+    # frame-bound settings, and takes its tail_tol
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": GAUSS, "alpha": "5/2",
+                               "j_ladder": "16,16,16", "tail_tol": 1e-12}))
+    code, text = run(["zak", "--config", str(cfg), "--grid-n", "8"], tmp_path)
+    _, ref = run(["zak", "--window", GAUSS, "--grid-n", "8",
+                  "--tail-tol", "1e-12"], tmp_path, "ref")
+    assert code == 0 and text == ref
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "gaussian", "gamma": "nan"}',
+    '{"kind": "gaussian", "gamma": "inf"}',
+    '{"kind": "sech", "a": "inf"}',
+    '{"kind": "gaussian", "gamma": true}',
+    '{"kind": "one_sided_exp", "gamma": "-inf"}',
+    '{"kind": "dilated", "b": "nan", "base": {"kind": "gaussian"}}',
+    '{"kind": "finite_product", "nus": [1.0, "nan"]}',
+])
+def test_non_finite_window_parameters_exit_64(tmp_path, spec):
+    assert cli.main(["bounds", "--window", spec, "--alpha", "1/2",
+                     "--output", str(tmp_path / "x")]) == 64
+
+
+def test_narrow_gaussian_runs(tmp_path):
+    # exp(gamma) overflows a float beyond gamma = 709.78; the envelope rate
+    # is capped so the window stays usable
+    code, text = run(["bounds", "--window", '{"kind": "gaussian", "gamma": 710}',
+                      "--alpha", "1/2"] + FAST, tmp_path)
+    assert code in (0, 2) and json.loads(text)["A_est"] > 0
 
 
 def test_decimal_alpha_warns(tmp_path, capsys):

@@ -230,6 +230,26 @@ def test_locate_zero_grid_minimum():
         locate_zero(Gaussian(), grid_n=32)
 
 
+def test_locate_zero_scans_half_period(gauss, ose, monkeypatch):
+    # a real window has |Zg(x, 1 - xi)| = |Zg(x, xi)|, so the scan takes
+    # xi = j/n for j <= n/2 only: one bank of 256 x 129 values at n = 256
+    grid = np.arange(256) / 256
+    for w in (gauss, ose):
+        full = np.abs(zak_bank(w, 1.0, grid, grid, 1e-12))
+        assert np.allclose(full[:, 1:], full[:, :0:-1], rtol=0, atol=1e-13)
+    zakmod = importlib.import_module("tpgabor.zak")
+    bank, shapes = zakmod.zak_bank, []
+
+    def spy(*args, **kwargs):
+        out = bank(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(zakmod, "zak_bank", spy)
+    locate_zero(gauss, grid_n=256)
+    assert [s for s in shapes if s[1] > 1] == [(256, 129)]
+
+
 def test_half_line_array_matches_scalar_calls(gauss, ose):
     # one bank over the array keeps the terms of its largest |x| for every
     # point, so it agrees with the scalar calls within both tail bounds
@@ -255,20 +275,21 @@ def test_half_line_rejects_imaginary_part(gauss, monkeypatch):
 
 
 @pytest.mark.parametrize("cell, raises", [
-    ((0, 0), True), ((100, 200), True),
-    ((129, 129), False),    # next to the zero's cell: the same candidate
+    ((0, 0), True), ((100, 56), True),   # xi = 56/256 mirrors 200/256
+    ((129, 127), False),    # next to the zero's cell: the same candidate
     ((40, 60), False),      # far, but above 10 * zero_tol
 ])
 def test_locate_zero_rejects_second_candidate(gauss, monkeypatch, cell, raises):
     # a second grid cell below 10 * zero_tol away from the located zero is a
-    # numeric failure; the zero sits at grid cell (128, 128) of 256
+    # numeric failure; the zero sits at grid cell (128, 128) of the 256 x 129
+    # half grid xi = j/256, j <= 128
     zakmod = importlib.import_module("tpgabor.zak")
     bank = zakmod.zak_bank
-    value = 5e-10 if raises or cell == (129, 129) else 2e-9
+    value = 5e-10 if raises or cell == (129, 127) else 2e-9
 
     def second_zero(*args, **kwargs):
         out = bank(*args, **kwargs)
-        if out.shape == (256, 256):
+        if out.shape == (256, 129):
             out[cell] = value
         return out
 

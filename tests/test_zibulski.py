@@ -9,7 +9,7 @@ from conftest import make_pert
 from tpgabor import zibulski
 from tpgabor.lattice import (PerturbationSeq, RationalLattice, reduce,
                              select_perturbation)
-from tpgabor.pipeline import PipelineOptions, zak_anchor
+from tpgabor.pipeline import PipelineOptions, diagnose, zak_anchor
 from tpgabor.windows import (Dilated, Gaussian, HyperbolicSecant, OneSidedExp,
                              two_sided_exponential)
 from tpgabor.zak import zak
@@ -285,6 +285,25 @@ def test_transfer_frame_bound_matches_direct_sum(sech, ose, alpha):
         lo, hi = transfer_frame_bound(w, lat, x=x)
         assert lo == pytest.approx(np.min(sig[:, -1]) ** 2, rel=1e-9)
         assert hi == pytest.approx(np.max(sig[:, 0]) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+def test_transfer_window_one_sided_exp_closed_form(gamma):
+    # at p = q = 1, B(x, xi) is Zg(x, xi) = e^{-x} / (1 - e^{-1 - 2 pi i xi})
+    # for x in [0, 1), so |Zg|^2 runs from e^{-2x} / (1 + e^{-1})^2 at
+    # xi = 1/2 to e^{-2x} / (1 - e^{-1})^2 at xi = 0; the reflected window
+    # g(-t) has the same values at (-x) mod 1
+    xs = np.arange(64) / 64
+    lo, hi, _ = transfer_window(OneSidedExp(gamma), reduce(1, 1), xs)
+    y = np.exp(-2.0 * (xs if gamma > 0 else (-xs) % 1.0))
+    np.testing.assert_allclose(lo, y / (1.0 + math.exp(-1.0)) ** 2,
+                               rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(hi, y / (1.0 - math.exp(-1.0)) ** 2,
+                               rtol=1e-11, atol=0.0)
+    # the exact lower frame bound is the infimum over x, 1 / (e + 1)^2; a
+    # grid minimum cannot fall below it
+    A = diagnose(OneSidedExp(gamma), reduce(1, 1)).lower_bound_est
+    assert A >= 1.0 / (math.e + 1.0) ** 2
 
 
 def test_transfer_window_chunks_agree(gauss, monkeypatch):
