@@ -5,10 +5,11 @@ the library.  The lattice subcommands read their window, lattice and
 options through ``_setup``; the data commands add their perturbation
 through ``_perturbation``, anchored as in ``diagnose``.  Each subcommand
 takes a flag for every ``PipelineOptions`` setting it reads and for no
-other: the verdict commands (diagnose, scan, bounds) take all of them, the
-data commands only theirs.  The flags have no defaults of their own, so a
-setting that is absent, or that a subcommand does not take, keeps its
-``PipelineOptions`` default.
+other: diagnose and scan take all of them, bounds the frame-bound ones,
+the data commands only theirs.  The flags have no defaults of their own,
+so a setting that is absent, or that a subcommand does not take, keeps
+its ``PipelineOptions`` default.  A config file's JSON list is read as
+the comma-separated form of its flag (``"j_ladder": [8, 16, 32]``).
 
 All outputs are deterministic for a fixed configuration: iteration orders
 are fixed, randomized audits take an explicit seed, and scan workers are
@@ -335,12 +336,15 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
         return sp
 
     add("diagnose", cmd_diagnose, "full certification pipeline")
-    sp = add("scan", cmd_scan, "phase-diagram scan over alpha values")
+    sp = add("scan", cmd_scan, "phase-diagram scan over alpha values",
+             lattice=False)
     sp.add_argument("--alphas", required=True,
                     help="comma-separated rationals, e.g. 1/8,2/8,3/8")
+    sp.add_argument("--beta", default="1")
     sp.add_argument("--jobs", type=int, default=os.environ.get("TPGABOR_JOBS"),
                     help="worker processes (default: $TPGABOR_JOBS, else 1)")
-    add("bounds", cmd_bounds, "frame-bound estimate only")
+    add("bounds", cmd_bounds, "frame-bound estimate only",
+        ("x_grid_n", "J_ladder", "tail_tol"))
     sp = add("zak", cmd_zak, "Zak transform heatmap CSV", ("tail_tol",),
              lattice=False)
     sp.add_argument("--grid-n", type=int, default=128)
@@ -374,6 +378,13 @@ def _read_config(path) -> dict:
     return cfg
 
 
+def _config_text(value) -> str:
+    """A config value as its flag would be typed: a list comma-separated."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -381,7 +392,7 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults, so explicit
             # flags win and every value goes through its flag's type
             known = set(vars(args)) - {"command", "func", "config"}
-            cfg = {k.replace("-", "_"): v if isinstance(v, str) else json.dumps(v)
+            cfg = {k.replace("-", "_"): _config_text(v)
                    for k, v in _read_config(args.config).items()}
             args = build_parser({k: v for k, v in cfg.items()
                                  if k in known}).parse_args(argv)

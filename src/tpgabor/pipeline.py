@@ -97,7 +97,6 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     K = max(16, lat.p // 2)
     min_nu = float("inf")
     min_sigma = sigma_cert = float("inf")
-    all_invertible = True
     witness_fail = None
     for x in xs:
         pert = select_perturbation(lat, float(x), x0)
@@ -110,7 +109,7 @@ def diagnose(w: TPWindow, lat: RationalLattice,
                                 sigma_tol=opts.sigma_tol, tol=opts.tail_tol)
         min_sigma = min(min_sigma, cert.min_sigma)
         sigma_cert = min(sigma_cert, cert.sigma_cert)
-        all_invertible = all_invertible and cert.invertible
+    all_invertible = sigma_cert > opts.sigma_tol
     evidence.append({"kind": "alternating_witness", "min_nu": min_nu,
                      "x_grid_n": opts.cert_x_grid_n,
                      "failure": witness_fail})

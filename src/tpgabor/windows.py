@@ -27,9 +27,13 @@ class DecayProfile:
 
     def __post_init__(self):
         # every window kind and dilation builds one: a nan or infinite
-        # parameter ends here as bad input, not later as a numeric crash
+        # parameter ends here as bad input, not later as a numeric crash.
+        # A rate with exp(-rate) == 1 (below about 1.1e-16) has no
+        # geometric tail sum in floating point.
         if not (0 < self.C < math.inf and 0 < self.rate < math.inf):
             raise WindowError("envelope constants must be finite and positive")
+        if math.exp(-self.rate) == 1.0:
+            raise WindowError(f"envelope rate {self.rate!r} is too small")
 
     def envelope(self, t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -180,10 +184,14 @@ class FiniteProduct(TPWindow):
                               "(use Gaussian for a pure Gaussian window)")
         if self.gamma + sum(v * v for v in nus) <= 0:
             raise WindowError("FiniteProduct needs gamma + sum(nu_j^2) > 0")
-        if any(v == 0.0 for v in nus):
-            raise WindowError("FiniteProduct factors need nu_j != 0")
+        if not all(v != 0.0 and math.isfinite(v) for v in nus):
+            raise WindowError("FiniteProduct factors need finite nu_j != 0")
         object.__setattr__(self, "_pf", self._partial_fractions())
-        object.__setattr__(self, "decay", self._build_decay())
+        try:
+            object.__setattr__(self, "decay", self._build_decay())
+        except OverflowError:  # an exp() factor of C, e.g. e^{lam tau}
+            raise WindowError("FiniteProduct envelope constant overflows") \
+                from None
 
     # time shift carried by the phase factors of ghat
     @property

@@ -3,9 +3,9 @@
 A_{rs}(xi) = Z_p g(r + delta_r - s, xi) on xi in [0, 1/p] is the p x p
 certificate for injectivity of the perturbed matrix G: invertibility of A
 at every xi certifies that G is one-to-one.  The injectivity scan covers
-xi by cells and certifies a lower bound sigma_cert on sigma_min(A(xi))
-from a Lipschitz bound read off the window samples; it also records
-min |det A| and min sigma_min over the nodes it evaluated (diagnostics).
+xi by bisected cells and certifies a lower bound sigma_cert on
+sigma_min(A(xi)) from a Lipschitz bound read off the window samples; it
+also records min sigma_min over the nodes it evaluated (a diagnostic).
 B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi) is the q x p transfer matrix
 whose spectral window gives the pre-Gramian frame-bound estimates.  Both
 are banks of :func:`tpgabor.zak.zak_bank` values.  The injectivity scan
@@ -43,18 +43,16 @@ class ZZMatrix:
 
 @dataclass(frozen=True)
 class InjectivityCertificate:
-    min_abs_det: float
-    argmin_xi: float
-    min_sigma: float
-    xi_grid_n: int
-    verdict: str  # "Invertible" | "Degenerate"
-    # certified lower bound on sigma_min(A(xi)) over all xi; 0 is the
-    # trivial one
-    sigma_cert: float = 0.0
+    """What :func:`injectivity_scan` certifies about A(xi) at one x.
 
-    @property
-    def invertible(self) -> bool:
-        return self.verdict == "Invertible"
+    ``sigma_cert`` is a certified lower bound on sigma_min(A(xi)) over all
+    xi (0 is the trivial one), ``invertible`` is sigma_cert > sigma_tol, and
+    ``min_sigma`` is the least sigma_min(A(xi)) at the evaluated nodes.
+    """
+
+    min_sigma: float
+    sigma_cert: float
+    invertible: bool
 
 
 @dataclass(frozen=True)
@@ -111,30 +109,28 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
                      tol: float = 1e-10) -> InjectivityCertificate:
     """Certify sigma_min(A(xi)) > sigma_tol for every xi, by cells of [0, 1/(2p)].
 
-    g is real, so A(1/p - xi) = conj A(xi) has the same singular values and
-    determinant modulus, and A is 1/p-periodic: a cover of [0, 1/(2p)]
-    covers every xi.  A(xi)_{rs} = sum_k g(r + delta_r - s - p k)
-    e^{2 pi i p k xi} is a trigonometric polynomial in xi, so
-    ||A'(xi)|| <= L = 2 pi p ||D||_F with D_rs = sum_k |k| |g(...)|, taken
-    from the same window samples (drawn once per call).  sigma_min is then
-    L-Lipschitz, and on a cell [a, b] it is at least
-    (sigma_a + sigma_b - L (b - a)) / 2 - err, where err bounds the
-    truncation tail p tol (1 + (2K + 1) eps) and the rounding of the phase
-    sum and the SVD, (2K + 1 + p) eps ||S||_F with S_rs = sum_k |g(...)|
+    g is real, so A(1/p - xi) = conj A(xi) has the same singular values, and
+    A is 1/p-periodic: a cover of [0, 1/(2p)] covers every xi.
+    A(xi)_{rs} = sum_k g(r + delta_r - s - p k) e^{2 pi i p k xi} is a
+    trigonometric polynomial in xi, so ||A'(xi)|| <= L = 2 pi p ||D||_F with
+    D_rs = sum_k |k| |g(...)|, taken from the same window samples (drawn
+    once per call).  sigma_min is then L-Lipschitz, and on a cell [a, b] it
+    is at least (sigma_a + sigma_b - L (b - a)) / 2 - err, where err bounds
+    the truncation tail p tol (1 + (2K + 1) eps) and the rounding of the
+    phase sum and the SVD, (2K + 1 + p) eps ||S||_F with S_rs = sum_k |g(...)|
     (so ||A(xi)|| <= ||S||_F).
 
     The cell ends are nodes of linspace(0, 1/p, 2 xi_grid_n + 1), the
-    half of [0, 1/p] up to 1/(2p).  A cell is accepted once its bound is
-    at least half its smaller end value; otherwise it is split into
-    ceil(L (b - a) / (min end value - 2 err)) children (at least 2, at most
-    one per node step), and each round's new nodes share one SVD call.  A
-    one-step cell that still fails contributes max(bound, 0).  So at most
-    xi_grid_n + 1 nodes are evaluated.
+    half of [0, 1/p] up to 1/(2p), and the first cell is the whole half.  A
+    cell is accepted once its bound is at least half its smaller end value;
+    otherwise it is bisected at its middle node, and each round's midpoints
+    share one SVD call.  A one-step cell that still fails contributes
+    max(bound, 0).  So every node is evaluated at most once, at most
+    xi_grid_n + 1 in all, in at most ceil(log2(xi_grid_n)) + 1 rounds.
 
     ``sigma_cert`` is the minimum of the cell bounds, a lower bound on
-    sigma_min(A(xi)) over all xi; verdict "Invertible" iff
-    sigma_cert > sigma_tol.  ``min_sigma``, ``argmin_xi`` and
-    ``min_abs_det`` are taken over the evaluated nodes.
+    sigma_min(A(xi)) over all xi, and ``invertible`` is
+    sigma_cert > sigma_tol.  ``min_sigma`` is taken over the evaluated nodes.
     """
     if xi_grid_n < 128:
         raise ZibulskiError("xi_grid_n must be at least 128")
@@ -147,40 +143,25 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     err = (p * tol * (1.0 + k.size * eps)
            + (k.size + p) * eps * float(np.linalg.norm(absg.sum(axis=1))))
 
-    sig, det = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+    sig = np.full(n + 1, np.nan)
     # cells are node index pairs (i, j), i < j, handled a round at a time;
-    # ``new`` holds the nodes the round evaluates, in one a_landscape call
+    # ``new`` holds the nodes the round evaluates, in one a_landscape call.
+    # A midpoint lies inside its cell, so no node is evaluated twice.
     i, j, new = np.array([0]), np.array([n]), np.array([0, n])
     sigma_cert = math.inf
     while i.size:
-        sig[new], det[new] = a_landscape(w, lat, pert, nodes[new], tol,
-                                         samples)
-        lo, width = np.minimum(sig[i], sig[j]), nodes[j] - nodes[i]
-        bound = (sig[i] + sig[j] - L * width) / 2.0 - err
-        done = (bound >= lo / 2.0) | (j - i == 1)
+        sig[new] = a_landscape(w, lat, pert, nodes[new], tol, samples)[0]
+        bound = (sig[i] + sig[j] - L * (nodes[j] - nodes[i])) / 2.0 - err
+        done = (bound >= np.minimum(sig[i], sig[j]) / 2.0) | (j - i == 1)
         if done.any():
             sigma_cert = min(sigma_cert, max(float(np.min(bound[done])), 0.0))
-        i, j, lo, width = i[~done], j[~done], lo[~done], width[~done]
-        margin = lo - 2.0 * err
-        need = np.divide(L * width, margin, out=np.full(i.size, np.inf),
-                         where=margin > 0)
-        steps = j - i
-        c = np.minimum(steps, np.maximum(2, np.ceil(need))).astype(int)
-        # child t of a cell spans [i + t steps // c, i + (t + 1) steps // c]
-        cell = np.repeat(np.arange(i.size), c)
-        t = np.arange(cell.size) - np.repeat(np.cumsum(c) - c, c)
-        i, j = (i[cell] + t * steps[cell] // c[cell],
-                i[cell] + (t + 1) * steps[cell] // c[cell])
-        # the cells are disjoint and in order, and each split one has a new
-        # interior node, so ``new`` is empty only when no cell is left
-        new = j[np.isnan(sig[j])]
+        i, j = i[~done], j[~done]
+        new = (i + j) // 2  # children (i, new) and (new, j), in xi order
+        i, j = np.ravel([i, new], "F"), np.ravel([new, j], "F")
 
-    i = int(np.nanargmin(sig))
-    return InjectivityCertificate(
-        min_abs_det=float(np.nanmin(det)), argmin_xi=float(nodes[i]),
-        min_sigma=float(sig[i]), xi_grid_n=xi_grid_n,
-        verdict="Invertible" if sigma_cert > sigma_tol else "Degenerate",
-        sigma_cert=sigma_cert)
+    return InjectivityCertificate(min_sigma=float(np.nanmin(sig)),
+                                  sigma_cert=sigma_cert,
+                                  invertible=sigma_cert > sigma_tol)
 
 
 def fourier_factorization_check(w: TPWindow, lat: RationalLattice,

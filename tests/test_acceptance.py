@@ -219,12 +219,12 @@ def test_criterion_10_inverse_decay(gauss, zak_zeros, capsys):
 
 
 def test_criterion_11_determinism(tmp_path, capsys):
-    fast = ["--x-grid-n", "16", "--cert-x-grid-n", "2",
-            "--j-ladder", "8,16,32"]
+    ladder = ["--x-grid-n", "16", "--j-ladder", "8,16,32"]
+    fast = ladder + ["--cert-x-grid-n", "2"]
     cases = [
         ["diagnose", "--window", GAUSS, "--alpha", "2/3"] + fast,
         ["scan", "--window", GAUSS, "--alphas", "1/2,1"] + fast,
-        ["bounds", "--window", TSEXP, "--alpha", "1/2"] + fast,
+        ["bounds", "--window", TSEXP, "--alpha", "1/2"] + ladder,
         ["zak", "--window", SECH, "--grid-n", "32"],
         ["zzdet", "--window", GAUSS, "--alpha", "2/3"],
         ["witness", "--window", GAUSS, "--alpha", "2/3", "--x", "0.1"],

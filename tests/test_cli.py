@@ -15,7 +15,9 @@ from tpgabor.zibulski import ZibulskiError, a_landscape
 GAUSS = '{"kind": "gaussian", "gamma": 3.141592653589793}'
 OSE = '{"kind": "one_sided_exp", "gamma": 1.0}'
 
-FAST = ["--x-grid-n", "16", "--cert-x-grid-n", "2", "--j-ladder", "8,16,32"]
+# bounds takes only the frame-bound settings (LADDER), diagnose and scan FAST
+LADDER = ["--x-grid-n", "16", "--j-ladder", "8,16,32"]
+FAST = LADDER + ["--cert-x-grid-n", "2"]
 
 
 def run(argv, tmp_path, name="out"):
@@ -127,7 +129,7 @@ def test_scan_records_domain_errors_only(tmp_path, monkeypatch):
 # ------------------------------------------------------------------ bounds
 
 def test_bounds_json(tmp_path):
-    code, text = run(["bounds", "--window", GAUSS, "--alpha", "1/2"] + FAST,
+    code, text = run(["bounds", "--window", GAUSS, "--alpha", "1/2"] + LADDER,
                      tmp_path)
     payload = json.loads(text)
     assert code == 0
@@ -141,7 +143,7 @@ def test_bounds_rejects_out_of_range(tmp_path):
     # same (0, 2] density guard as diagnose and scan
     for alpha in ("3", "5/2"):
         code, text = run(["bounds", "--window", GAUSS, "--alpha", alpha]
-                         + FAST, tmp_path)
+                         + LADDER, tmp_path)
         assert code == 64
         assert text is None
 
@@ -373,7 +375,8 @@ def test_option_flags_mirror_pipeline_options():
     # others, and no default of its own, so a new field cannot get a second
     # default in the CLI
     every = {f.name for f in fields(PipelineOptions)}
-    takes = {"diagnose": every, "scan": every, "bounds": every,
+    takes = {"diagnose": every, "scan": every,
+             "bounds": {"x_grid_n", "J_ladder", "tail_tol"},
              "zak": {"tail_tol"},
              "zzdet": {"xi_grid_n", "tail_tol", "zak_grid_n", "zero_tol"},
              "witness": {"tail_tol", "zak_grid_n", "zero_tol"},
@@ -386,8 +389,8 @@ def test_option_flags_mirror_pipeline_options():
             flags = [a for a in sp._actions if a.dest == f.name.lower()]
             assert len(flags) == (f.name in takes[name])
             assert all(a.default is None for a in flags)
-        has_lattice = any(a.dest in ("alpha", "beta") for a in sp._actions)
-        assert has_lattice == (name != "zak")
+        lattice = {"zak": set(), "scan": {"beta"}}.get(name, {"alpha", "beta"})
+        assert {a.dest for a in sp._actions} & {"alpha", "beta"} == lattice
     for argv in (["diagnose", "--window", GAUSS], ["zak", "--window", GAUSS]):
         assert cli._options(ap.parse_args(argv)) == PipelineOptions()
 
@@ -399,6 +402,9 @@ def test_option_flags_mirror_pipeline_options():
     ["zzdet", "--alpha", "2/3", "--x-grid-n", "16"],
     ["witness", "--alpha", "2/3", "--sigma-tol", "1e-8"],
     ["audit", "--alpha", "1/2", "--tail-tol", "1e-10"],
+    ["bounds", "--alpha", "1/2", "--cert-x-grid-n", "2"],
+    ["bounds", "--alpha", "1/2", "--sigma-tol", "1e-8"],
+    ["scan", "--alphas", "1/2", "--alpha", "5/2"],
 ])
 def test_flags_a_command_does_not_read_exit_64(tmp_path, argv):
     assert cli.main(argv + ["--window", GAUSS,
@@ -425,6 +431,8 @@ def test_config_keys_a_command_does_not_read_are_dropped(tmp_path):
     '{"kind": "one_sided_exp", "gamma": "-inf"}',
     '{"kind": "dilated", "b": "nan", "base": {"kind": "gaussian"}}',
     '{"kind": "finite_product", "nus": [1.0, "nan"]}',
+    # finite, but the envelope constant e^{1000 * 4.999} overflows
+    '{"kind": "finite_product", "nus": [0.001], "nu": 5}',
 ])
 def test_non_finite_window_parameters_exit_64(tmp_path, spec):
     assert cli.main(["bounds", "--window", spec, "--alpha", "1/2",
@@ -435,7 +443,7 @@ def test_narrow_gaussian_runs(tmp_path):
     # exp(gamma) overflows a float beyond gamma = 709.78; the envelope rate
     # is capped so the window stays usable
     code, text = run(["bounds", "--window", '{"kind": "gaussian", "gamma": 710}',
-                      "--alpha", "1/2"] + FAST, tmp_path)
+                      "--alpha", "1/2"] + LADDER, tmp_path)
     assert code in (0, 2) and json.loads(text)["A_est"] > 0
 
 
@@ -451,7 +459,7 @@ def test_window_from_file(tmp_path):
     spec = tmp_path / "win.json"
     spec.write_text(GAUSS)
     for ref in (f"@{spec}", str(spec)):
-        code, text = run(["bounds", "--window", ref, "--alpha", "1/2"] + FAST,
+        code, text = run(["bounds", "--window", ref, "--alpha", "1/2"] + LADDER,
                          tmp_path)
         assert code == 0
 
@@ -480,6 +488,16 @@ def test_config_file_flags_win(tmp_path):
                       "--x-grid-n", "16"], tmp_path, "o3")
     assert code == 0
     assert json.loads(text)["A_est"] > 0.8
+
+
+def test_config_ladder_list_string_and_flag_agree(tmp_path):
+    argv = ["bounds", "--window", GAUSS, "--alpha", "2/3", "--x-grid-n", "16"]
+    _, flag = run(argv + ["--j-ladder", "8,16,32"], tmp_path, "flag")
+    for ladder in ([8, 16, 32], "8,16,32"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"j_ladder": ladder}))
+        code, text = run(argv + ["--config", str(cfg)], tmp_path)
+        assert code == 0 and text == flag
 
 
 def test_config_file_errors_exit_64(tmp_path):

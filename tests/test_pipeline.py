@@ -142,7 +142,6 @@ def test_diagnose_one_certificate_x_at_q_128(gauss, monkeypatch):
         verdict="Frame", lower_bound_est=1.0, upper_bound_est=1.0, worst_x=0.0))
     monkeypatch.setattr(pipeline, "injectivity_scan",
                         lambda *a, **k: InjectivityCertificate(
-                            min_abs_det=1.0, argmin_xi=0.0, min_sigma=1.0,
-                            xi_grid_n=128, verdict="Invertible"))
+                            min_sigma=1.0, sigma_cert=1.0, invertible=True))
     diagnose(gauss, lat, PipelineOptions())
     assert calls == [0.0]

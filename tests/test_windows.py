@@ -223,3 +223,21 @@ def test_window_from_config_errors():
                 {"kind": ["gaussian"]}):
         with pytest.raises(WindowError):
             window_from_config(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "finite_product", "nus": [0.001], "nu": 5},  # C e^{lam tau} = inf
+    {"kind": "two_sided_exp", "rate": 1e-320},  # 1/rate = inf
+    # rates with exp(-rate) == 1: no geometric tail sum, no radius
+    {"kind": "sech", "a": 1e-300},
+    {"kind": "gaussian", "gamma": 1e-300},
+    {"kind": "one_sided_exp", "gamma": 1e-300},
+    {"kind": "two_sided_exp", "rate": 1e-300},
+    {"kind": "dilated", "b": 1e300, "base": {"kind": "sech"}},
+    {"kind": "finite_product", "nus": [1e300, -1e300]},
+], ids=str)
+def test_window_from_config_rejects_unusable_envelopes(cfg):
+    # each of these built a window whose envelope crashed later, in
+    # _build_decay or at the first truncation radius
+    with pytest.raises(WindowError):
+        window_from_config(cfg)
