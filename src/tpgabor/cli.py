@@ -27,7 +27,6 @@ import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -96,7 +95,15 @@ def _finite_float(text: str) -> float:
     """A float flag value; nan and +-inf are bad input, not a crash later."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"{text!r} is not a finite number")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """An integer flag value of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
 
 
@@ -211,8 +218,10 @@ def cmd_scan(args) -> int:
     alphas = [s.strip() for s in args.alphas.split(",") if s.strip()]
     opts = _options(args)
     work = [(w, a, str(beta), _lattice(a, beta), opts) for a in alphas]
-    if (args.jobs or 1) > 1 and len(work) > 1:
-        with Pool(processes=args.jobs) as pool:
+    jobs = min(args.jobs or 1, len(work))
+    if jobs > 1:
+        from multiprocessing import Pool  # only a parallel scan needs it
+        with Pool(processes=jobs) as pool:
             rows = pool.map(_scan_point, work)
     else:
         rows = [_scan_point(j) for j in work]
@@ -341,8 +350,10 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sp.add_argument("--alphas", required=True,
                     help="comma-separated rationals, e.g. 1/8,2/8,3/8")
     sp.add_argument("--beta", default="1")
-    sp.add_argument("--jobs", type=int, default=os.environ.get("TPGABOR_JOBS"),
-                    help="worker processes (default: $TPGABOR_JOBS, else 1)")
+    sp.add_argument("--jobs", type=_positive_int,
+                    default=os.environ.get("TPGABOR_JOBS"),
+                    help="worker processes, at least 1 and at most one per "
+                         "alpha (default: $TPGABOR_JOBS, else 1)")
     add("bounds", cmd_bounds, "frame-bound estimate only",
         ("x_grid_n", "J_ladder", "tail_tol"))
     sp = add("zak", cmd_zak, "Zak transform heatmap CSV", ("tail_tol",),

@@ -49,14 +49,18 @@ def _lattice_grid_section(w: TPWindow, lat: RationalLattice, x: float,
 
     Each is g(x + n/q), n = p j - q k, gathered from one sample of w on that
     grid: an argument on a jump (the one-sided exponential's at 0) is exact.
+    The gather is a strided view of the sample, rows p apart and columns
+    -q apart from the entry of (j, k) = (-J, -K), copied once.
     """
     if J < 1:
         raise PregramianError("J must be at least 1")
     p, q = lat.p, lat.q
     n0 = p * J + q * K
     vals = w(x + np.arange(-n0, n0 + 1) / q)
-    n = p * np.arange(-J, J + 1)[:, None] - q * np.arange(-K, K + 1)
-    return vals[n + n0]
+    step = vals.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        vals[n0 - p * J + q * K:], shape=(2 * J + 1, 2 * K + 1),
+        strides=(p * step, -q * step), writeable=False).copy()
 
 
 def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class WindowError(ValueError):
@@ -262,6 +261,15 @@ class FiniteProduct(TPWindow):
         return self.c * out
 
     def _eval_quad_scalar(self, t: float) -> float:
+        """g(t) as the inverse Fourier integral of the closed-form transform.
+
+        The only window path that needs SciPy: ``quad`` is imported here,
+        not at module level, so that importing the package loads no SciPy
+        module, and only a Gaussian-factor product (or a caller of
+        :meth:`evaluate_by_quadrature`) pays for that import.
+        """
+        from scipy.integrate import quad
+
         def re_part(xi):
             return self.fourier_transform(xi).real
 

@@ -107,6 +107,42 @@ def test_scan_parallel_matches_serial(tmp_path):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs, alphas, processes", [
+    ("64", "1/2,3/2", [2]), ("2", "1/2,2/3,3/4", [2]), ("8", "1/2", []),
+    ("1", "1/2,3/2", []),
+])
+def test_scan_pool_has_at_most_one_worker_per_alpha(tmp_path, monkeypatch,
+                                                    jobs, alphas, processes):
+    # a stand-in for multiprocessing.Pool (and for a module-level import of
+    # it) records the worker count it is asked for and maps in process, so
+    # no worker is ever started
+    import multiprocessing
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(j) for j in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli, "Pool", RecordingPool, raising=False)
+    monkeypatch.setattr(cli, "_scan_point", lambda job: list(job[1:4]))
+    code, text = run(["scan", "--window", GAUSS, "--alphas", alphas,
+                      "--jobs", jobs], tmp_path)
+    assert code == 0
+    assert asked == processes
+    assert len(text.splitlines()) == 2 + len(alphas.split(","))
+
+
 def test_scan_records_domain_errors_only(tmp_path, monkeypatch):
     def fail(exc):
         def diagnose(*args, **kwargs):
@@ -335,11 +371,13 @@ def test_non_finite_x_exits_64(tmp_path, command, x):
                      "--config", str(cfg), "--output", str(tmp_path / "x")]) == 64
 
 
-def test_malformed_arguments_exit_64(tmp_path):
+def test_malformed_arguments_exit_64(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"x_grid_n": "abc"}))
     cfg_float = tmp_path / "cfg_float.json"
     cfg_float.write_text(json.dumps({"x_grid_n": 16.5}))
+    cfg_jobs = tmp_path / "cfg_jobs.json"
+    cfg_jobs.write_text(json.dumps({"jobs": 0}))
     cases = [
         ["diagnose", "--window", GAUSS, "--x-grid-n", "abc"],
         ["diagnose", "--window", GAUSS, "--j-ladder", "a,b"],
@@ -362,9 +400,16 @@ def test_malformed_arguments_exit_64(tmp_path):
         ["audit", "--window", GAUSS, "--alpha", "1/2", "--K", "0"],
         ["audit", "--window", GAUSS, "--alpha", "1/2", "--K=-3"],
         ["witness", "--window", GAUSS, "--K=-4"],
+        ["scan", "--window", GAUSS, "--alphas", "1/2,3/2", "--jobs", "0"],
+        ["scan", "--window", GAUSS, "--alphas", "1/2,3/2", "--jobs=-1"],
+        ["scan", "--window", GAUSS, "--alphas", "1/2,3/2", "--config",
+         str(cfg_jobs)],
     ]
     for argv in cases:
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 64
+    monkeypatch.setenv("TPGABOR_JOBS", "0")
+    assert cli.main(["scan", "--window", GAUSS, "--alphas", "1/2,3/2",
+                     "--output", str(tmp_path / "x")]) == 64
     with pytest.raises(SystemExit) as exc:
         cli.main(["diagnose", "--help"])
     assert exc.value.code == 0

@@ -64,6 +64,24 @@ def test_gaussian_factor_quadrature_path():
         assert abs(w(t) - fft_inverse_oracle(w, t)) < 1e-6
 
 
+def test_gaussian_factor_quadrature_imports_quad_lazily(monkeypatch):
+    # quad is imported where it is used, so the package loads no SciPy
+    # module until a Gaussian-factor product is evaluated
+    import scipy.integrate
+
+    quad, calls = scipy.integrate.quad, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    w = FiniteProduct(gamma=1.0, nus=(1.0,), c=1.0)
+    ref = w(0.5)
+    monkeypatch.setattr(scipy.integrate, "quad", spy)
+    assert w(0.5) == ref
+    assert len(calls) == 2  # the cosine and the sine part
+
+
 # --------------------------------------------------------- truncation radii
 
 def brute_tail(profile: DecayProfile, R: int) -> float:

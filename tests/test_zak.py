@@ -1,12 +1,19 @@
 import cmath
 import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+import tpgabor
 from tpgabor.windows import Gaussian, OneSidedExp, truncation_radius
-from tpgabor.zak import (ZakError, ZakZeroNotFound, locate_zero, zak,
+from tpgabor.zak import (ZakError, ZakZeroNotFound, _brentq, locate_zero, zak,
                          zak_bank, zak_on_half_line, zak_values)
 
 # theta-type alternating sum: sum_k (-1)^k e^{-pi k^2}, 40-digit reference
@@ -299,3 +306,76 @@ def test_locate_zero_rejects_second_candidate(gauss, monkeypatch, cell, raises):
             locate_zero(gauss, zero_tol=1e-10)
     else:
         assert abs(locate_zero(gauss, zero_tol=1e-10).x0 - 0.5) < 1e-12
+
+
+# ------------------------------------------------ Brent's method, SciPy-free
+
+def test_import_loads_no_scipy():
+    # SciPy serves only the Gaussian-factor quadrature and the test oracles
+    code = ("import sys, tpgabor, tpgabor.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(tpgabor.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def _outcome(solve):
+    try:
+        return solve().hex()
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, str(e)
+
+
+# (xtol, rtol): locate_zero's, and SciPy's defaults
+TOLERANCES = [(1e-14, 8.9e-16), (2e-12, 4 * np.finfo(float).eps)]
+unit = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.tuples(unit, unit, unit), kind=st.integers(0, 3),
+       a=st.floats(-4.0, 0.0), b=st.floats(0.0, 4.0),
+       tols=st.sampled_from(TOLERANCES))
+# ties |f(blk)| == |f(cur)|: the swap test must stay a strict <
+@example(c=(-1.71, -2.72, -1.16), kind=0, a=-1.93, b=0.3, tols=TOLERANCES[0])
+@example(c=(2.08, -2.46, 0.66), kind=3, a=-2.97, b=2.34, tols=TOLERANCES[0])
+def test_brentq_matches_scipy_bit_for_bit(c, kind, a, b, tols):
+    f = [lambda x: math.sin(c[0] * x + c[1]) + c[2] * x,
+         lambda x: (x - c[0]) * (x * x + c[1] ** 2 + 0.1) + 1e-3 * c[2],
+         lambda x: math.atan(10 * c[0] * (x - c[1])) + 1e-2 * c[2],
+         lambda x: 1e-150 * math.tanh(c[0] * (x - c[1]))][kind]
+    xtol, rtol = tols
+    assert (_outcome(lambda: _brentq(f, a, b, xtol, rtol))
+            == _outcome(lambda: brentq(f, a, b, xtol=xtol, rtol=rtol)))
+
+
+@pytest.mark.parametrize("f, a, b, maxiter", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, 100),      # ends of the same sign
+    (lambda x: math.nan, -1.0, 1.0, 100),         # NaN at an end
+    (lambda x: math.nan if x > 0.25 else x - 0.5, -1.0, 1.0, 100),  # NaN inside
+    (lambda x: x - 0.3, -1.0, 1.0, 2),            # no convergence
+    (lambda x: x - 0.3, -1.0, 1.0, 0),
+])
+def test_brentq_errors_match_scipy(f, a, b, maxiter):
+    mine = _outcome(lambda: _brentq(f, a, b, 1e-14, 8.9e-16, maxiter))
+    assert isinstance(mine, tuple)
+    assert mine == _outcome(lambda: brentq(f, a, b, xtol=1e-14, rtol=8.9e-16,
+                                           maxiter=maxiter))
+
+
+def test_locate_zero_brackets_match_scipy(gauss, tsexp, sech, monkeypatch):
+    zakmod = importlib.import_module("tpgabor.zak")
+    calls = []
+
+    def record(f, a, b, xtol, rtol):
+        calls.append((f, a, b, xtol, rtol))
+        return _brentq(f, a, b, xtol, rtol)
+
+    monkeypatch.setattr(zakmod, "_brentq", record)
+    zeros = [locate_zero(w).x0 for w in (gauss, tsexp, sech)]
+    assert len(calls) == 3
+    for (f, a, b, xtol, rtol), x0 in zip(calls, zeros):
+        assert (xtol, rtol) == (1e-14, 8.9e-16)
+        assert brentq(f, a, b, xtol=xtol, rtol=rtol) % 1.0 == x0
