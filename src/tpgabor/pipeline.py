@@ -46,6 +46,8 @@ class PipelineOptions:
             raise ValueError("zak_grid_n must be >= 64")
         if len(set(self.J_ladder)) < 3 or min(self.J_ladder) < 1:
             raise ValueError("J_ladder needs >= 3 distinct positive entries")
+        if len(set(self.J_ladder)) < len(self.J_ladder):
+            raise ValueError("J_ladder entries must be distinct")
         if self.cert_x_grid_n < 1:
             raise ValueError("cert_x_grid_n must be >= 1")
 

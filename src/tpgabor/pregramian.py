@@ -72,11 +72,9 @@ def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,
     R = truncation_radius(w, tail_tol)
     K = -(-lat.p * J // lat.q) + R  # ceil(alpha J), exact
     return MatrixSection(entries=_lattice_grid_section(w, lat, x, J, K),
-                         row_offset=-J, col_offset=-K,
                          row_points=x + lat.alpha_float * np.arange(-J, J + 1),
                          col_points=np.arange(-K, K + 1.0),
-                         decay_cert=w.decay,
-                         description="P(x)_{jk} = g(x + alpha j - k)")
+                         decay_cert=w.decay)
 
 
 def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
@@ -148,6 +146,8 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     J_ladder = tuple(sorted(J_ladder))
     if len(set(J_ladder)) < 3 or J_ladder[0] < 1:
         raise PregramianError("J_ladder needs 3 distinct positive entries")
+    if len(set(J_ladder)) < len(J_ladder):
+        raise PregramianError("J_ladder entries must be distinct")
     alpha = lat.alpha
 
     if alpha > 1 or (alpha == 1 and not frame_at_critical_density(w)):

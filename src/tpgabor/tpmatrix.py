@@ -1,15 +1,14 @@
 """Finite sections of the perturbed pre-Gramian sub-matrix G and its checks.
 
 G_{kl} = g(k + delta_k - l) with a p-periodic perturbation delta.  The
-operations here verify, at truncation scale, the properties the theory
-asserts for the infinite matrix: total positivity of minors, the
-uniformly alternating image vector, shift commutation, and off-diagonal
-decay of the inverse.
+operations here verify, at truncation scale, two properties the theory
+asserts for the infinite matrix: total positivity of minors and the
+uniformly alternating image vector.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +23,16 @@ class TPMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatrixSection:
-    """Dense finite section of an infinite matrix with index offsets.
+    """Dense finite section of an infinite matrix.
 
-    Row k of ``entries`` corresponds to infinite-matrix row k + row_offset;
-    same for columns.  ``row_points``/``col_points`` give the real sample
-    points behind each index so entries can be re-derived.
+    ``row_points``/``col_points`` give the real sample points behind each
+    row and column, so entry (j, k) is g(row_points[j] - col_points[k]).
     """
 
     entries: np.ndarray
-    row_offset: int
-    col_offset: int
     row_points: np.ndarray
     col_points: np.ndarray
     decay_cert: DecayProfile
-    description: str = ""
 
     @property
     def shape(self):
@@ -51,7 +46,7 @@ class AlternatingWitness:
     u: np.ndarray
     nu: float
     sign_pattern_ok: bool
-    ks: np.ndarray = field(default=None)
+    ks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,15 +56,6 @@ class MinorAuditReport:
     min_det: float
     min_scaled_det: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class InverseDecayFit:
-    C: float
-    sigma: float
-    cond: float
-    distances: np.ndarray
-    profile: np.ndarray
 
 
 def G_entries(w: TPWindow, pert: PerturbationSeq, ks: np.ndarray,
@@ -90,11 +76,9 @@ def build_G(w: TPWindow, pert: PerturbationSeq, K: int) -> MatrixSection:
         raise TPMatrixError("section must cover at least one period: K >= p")
     ks = np.arange(-K, K + 1)
     return MatrixSection(entries=G_entries(w, pert, ks, ks),
-                         row_offset=-K, col_offset=-K,
                          row_points=ks + np.asarray(pert.deltas)[ks % pert.p],
                          col_points=ks.astype(float),
-                         decay_cert=w.decay,
-                         description="G_{kl} = g(k + delta_k - l)")
+                         decay_cert=w.decay)
 
 
 def alternating_witness(w: TPWindow, pert: PerturbationSeq, K: int,
@@ -195,45 +179,3 @@ def tp_minor_audit(section: MatrixSection, n_max: int = 6,
     return MinorAuditReport(trials=trials, n_max=n_max, min_det=min_det,
                             min_scaled_det=min_scaled,
                             passed=bool(min_scaled >= -tol))
-
-
-def inverse_decay_profile(section: MatrixSection,
-                          tail_tol: float = 1e-10) -> InverseDecayFit:
-    """Invert the section and fit |G^{-1}_{kl}| <= C (1+|k-l|)^{-sigma}.
-
-    Only interior rows/columns (at least one truncation radius from the
-    section edge) enter the fit; the profile is the per-distance maximum
-    of |G^{-1}| up to distance 12, regressed log-log against 1 + distance.
-    A section with condition number above 1e12 raises.
-    """
-    A = section.entries
-    if A.shape[0] != A.shape[1]:
-        raise TPMatrixError("inverse decay needs a square section")
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise TPMatrixError(f"section too ill-conditioned: cond = {cond:.3g}")
-    inv = np.linalg.inv(A)
-    n = A.shape[0]
-    R = section.decay_cert.tail_radius(tail_tol)
-    trim = min(R, (n - 1) // 3)
-    core = inv[trim:n - trim, trim:n - trim]
-    m = core.shape[0]
-    idx = np.arange(m)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    d_hi = min(12, m - 1)
-    ds, prof = [], []
-    for d in range(1, d_hi + 1):
-        vals = np.abs(core[dist == d])
-        v = float(np.max(vals))
-        if v > 1e-300:
-            ds.append(d)
-            prof.append(v)
-    if len(ds) < 3:
-        raise TPMatrixError("not enough off-diagonal distances for a decay fit")
-    ds = np.array(ds, dtype=float)
-    prof = np.array(prof)
-    X = np.log1p(ds)
-    Y = np.log(prof)
-    slope, intercept = np.polyfit(X, Y, 1)
-    return InverseDecayFit(C=float(np.exp(intercept)), sigma=float(-slope),
-                           cond=cond, distances=ds, profile=prof)

@@ -412,16 +412,3 @@ def frame_at_critical_density(w: TPWindow) -> bool:
         w = w.base
     return isinstance(w, OneSidedExp) or (
         isinstance(w, FiniteProduct) and w.gamma == 0.0 and len(w.nus) == 1)
-
-
-def tp_samples_matrix(w: TPWindow, xs, ys) -> np.ndarray:
-    """Sample matrix (g(x_j - y_k)) for strictly increasing nodes, n <= 12."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or ys.ndim != 1 or len(xs) != len(ys):
-        raise WindowError("xs and ys must be 1-D of equal length")
-    if len(xs) > 12:
-        raise WindowError("minor tests are capped at n <= 12")
-    if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
-        raise WindowError("xs and ys must be strictly increasing")
-    return w(xs[:, None] - ys[None, :])

@@ -32,20 +32,6 @@ class ZakZeroNotFound(ZakError):
 
 
 @dataclass(frozen=True)
-class ZakValue:
-    re: float
-    im: float
-    trunc_err: float
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __abs__(self) -> float:
-        return abs(self.value)
-
-
-@dataclass(frozen=True)
 class ZakZero:
     x0: float
     xi0: float
@@ -91,12 +77,6 @@ def zak_values(w: TPWindow, p: float, xs, xi: float, tol: float = 1e-12):
         raise ZakError("period p must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return zak_bank(w, p, xs, [xi], tol)[:, 0]
-
-
-def zak(w: TPWindow, p: float, x: float, xi: float, tol: float = 1e-12) -> ZakValue:
-    """Truncated Zak transform at a single point, with certified tail bound."""
-    z = zak_values(w, p, [x], xi, tol)[0]
-    return ZakValue(re=float(z.real), im=float(z.imag), trunc_err=tol)
 
 
 def zak_on_half_line(w: TPWindow, x, tol: float = 1e-12):
@@ -227,7 +207,7 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
                 f"|Zg| = {A[i0, j0]:.3g}",
                 min_abs=float(A[i0, j0]), argmin=(xc, xi_cell))
     x0 = _brentq(f, xc - width, xc + width, xtol=1e-14, rtol=8.9e-16) % 1.0
-    residual = abs(zak(w, 1.0, x0, 0.5, tol).value)
+    residual = abs(zak_values(w, 1.0, [x0], 0.5, tol)[0])
     if residual >= zero_tol:
         raise ZakZeroNotFound(
             f"refined residual {residual:.3g} exceeds zero_tol {zero_tol:g}",

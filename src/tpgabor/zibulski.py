@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PerturbationSeq, RationalLattice
-from .tpmatrix import G_entries
-from .windows import TPWindow, truncation_radius
+from .windows import TPWindow
 from .zak import _zak_samples, zak_bank
 
 
@@ -33,12 +32,6 @@ class ZibulskiError(RuntimeError):
 
 TRANSFER_XI_GRID_N = 128
 _TRANSFER_CHUNK = 1 << 20  # complex entries per Zak bank, 16 MB
-
-
-@dataclass(frozen=True)
-class ZZMatrix:
-    xi: float
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,23 +48,6 @@ class InjectivityCertificate:
     invertible: bool
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    max_dev: float
-    tol: float
-    passed: bool
-    xi_grid_n: int
-
-
-def zz_matrix(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
-              xi: float, tol: float = 1e-10) -> ZZMatrix:
-    """The p x p matrix A(xi) with entries Z_p g(r + delta_r - s, xi)."""
-    if not -1e-12 <= xi <= 1.0 / lat.p + 1e-12:
-        raise ZibulskiError("xi must lie in [0, 1/p]")
-    return ZZMatrix(xi=float(xi),
-                    entries=_A_stack(w, lat, pert, np.array([xi]), tol)[0])
-
-
 def _A_points(lat: RationalLattice, pert: PerturbationSeq) -> np.ndarray:
     """The p*p Zak arguments r + delta_r - s of A(xi), row-major in (r, s)."""
     if pert.p != lat.p:
@@ -84,6 +60,7 @@ def _A_points(lat: RationalLattice, pert: PerturbationSeq) -> np.ndarray:
 def _A_stack(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
              xis: np.ndarray, tol: float, samples: tuple | None = None
              ) -> np.ndarray:
+    """A(xi)_{rs} = Z_p g(r + delta_r - s, xi) at every xi; shape (nxi, p, p)."""
     p = lat.p
     bank = zak_bank(w, p, _A_points(lat, pert), xis, tol, samples)  # (p*p, nxi)
     return bank.reshape(p, p, len(xis)).transpose(2, 0, 1)  # (nxi, p, p)
@@ -164,59 +141,6 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
                                   invertible=sigma_cert > sigma_tol)
 
 
-def fourier_factorization_check(w: TPWindow, lat: RationalLattice,
-                                pert: PerturbationSeq, c: np.ndarray,
-                                c_offset: int = 0, xi_grid_n: int = 64,
-                                tol: float = 1e-10) -> FactorizationReport:
-    """Verify A(xi) x(xi) = y(xi) against the direct time-side computation.
-
-    c is a finitely supported sequence (c_offset is the index of c[0]).
-    d = Gc is computed directly; the residue-class Fourier series of d is
-    compared with A(xi) applied to the residue-class series of c on a xi
-    grid.  Deviation above 100*tol raises (structural bug).
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ZibulskiError("c must be a nonempty 1-D sequence")
-    p = lat.p
-    l_idx = np.arange(c_offset, c_offset + len(c))
-    c_l1 = float(np.sum(np.abs(c)))
-    R = truncation_radius(w, tol / max(c_l1, 1.0))
-    ks = np.arange(l_idx[0] - R - pert.p - 2, l_idx[-1] + R + pert.p + 3)
-    d = G_entries(w, pert, ks, l_idx) @ c
-
-    xis = np.linspace(0.0, 1.0 / p, xi_grid_n + 1)
-    A = _A_stack(w, lat, pert, xis, tol)  # (nxi, p, p)
-
-    x_vec = _residue_series(l_idx, c, p, xis)
-    y_vec = _residue_series(ks, d, p, xis)
-    y_from_A = np.einsum("nrs,ns->nr", A, x_vec)
-    max_dev = float(np.max(np.abs(y_from_A - y_vec)))
-    passed = max_dev < 100.0 * tol
-    if not passed:
-        raise ZibulskiError(
-            f"factorization identity violated: max deviation {max_dev:.3g} "
-            f">= {100 * tol:g}")
-    return FactorizationReport(max_dev=max_dev, tol=tol, passed=passed,
-                               xi_grid_n=xi_grid_n)
-
-
-def _residue_series(idx: np.ndarray, vals: np.ndarray, p: int,
-                    xis: np.ndarray) -> np.ndarray:
-    """Per residue r, the sum of vals[m] e^{-2 pi i p n xi} over the
-    entries m with idx[m] = r + p n; shape (nxi, p).
-
-    The e^{-2 pi i} convention matches the Zak kernel orientation:
-    sum_j g(x + p j) e^{-2 pi i p j xi} = Z_p g(x, xi).
-    """
-    out = np.empty((len(xis), p), dtype=complex)
-    for r in range(p):
-        sel = idx % p == r
-        ns = (idx[sel] - r) // p
-        out[:, r] = np.exp(-2j * math.pi * p * np.outer(xis, ns)) @ vals[sel]
-    return out
-
-
 def _transfer_stack(w: TPWindow, lat: RationalLattice, xs: np.ndarray,
                     xis: np.ndarray, tol: float) -> np.ndarray:
     """B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi); shape (nx, nxi, q, p)."""
@@ -277,11 +201,3 @@ def worst_vector_x(w: TPWindow, lat: RationalLattice, x: float, xi: float,
     b = int(np.argmax(np.abs(np.linalg.svd(B)[2][-1])))
     a = round((b - x) / lat.alpha_float)
     return x + lat.alpha_float * a - b
-
-
-def transfer_frame_bound(w: TPWindow, lat: RationalLattice, x: float,
-                         xi_grid_n: int = TRANSFER_XI_GRID_N,
-                         tol: float = 1e-10) -> tuple:
-    """(min_xi sigma_min^2, max_xi sigma_max^2) of the transfer window at x."""
-    lo, hi, _ = transfer_window(w, lat, [x], xi_grid_n, tol)
-    return float(lo[0]), float(hi[0])

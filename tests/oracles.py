@@ -1,0 +1,130 @@
+"""Reference checks that only the tests use.
+
+``fourier_factorization_check`` is the oracle of acceptance criterion 8
+(the Fourier factorization of G through A(xi)), and
+``inverse_decay_profile`` the one of criterion 10 (off-diagonal decay of
+the inverse of a G section).  Both read the package; neither is read by it.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from tpgabor.lattice import PerturbationSeq, RationalLattice
+from tpgabor.tpmatrix import G_entries, MatrixSection, TPMatrixError
+from tpgabor.windows import TPWindow, truncation_radius
+from tpgabor.zibulski import ZibulskiError, _A_stack
+
+
+@dataclass(frozen=True)
+class FactorizationReport:
+    max_dev: float
+    tol: float
+    passed: bool
+    xi_grid_n: int
+
+
+def fourier_factorization_check(w: TPWindow, lat: RationalLattice,
+                                pert: PerturbationSeq, c: np.ndarray,
+                                c_offset: int = 0, xi_grid_n: int = 64,
+                                tol: float = 1e-10) -> FactorizationReport:
+    """Verify A(xi) x(xi) = y(xi) against the direct time-side computation.
+
+    c is a finitely supported sequence (c_offset is the index of c[0]).
+    d = Gc is computed directly; the residue-class Fourier series of d is
+    compared with A(xi) applied to the residue-class series of c on a xi
+    grid.  Deviation above 100*tol raises (structural bug).
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ZibulskiError("c must be a nonempty 1-D sequence")
+    p = lat.p
+    l_idx = np.arange(c_offset, c_offset + len(c))
+    c_l1 = float(np.sum(np.abs(c)))
+    R = truncation_radius(w, tol / max(c_l1, 1.0))
+    ks = np.arange(l_idx[0] - R - pert.p - 2, l_idx[-1] + R + pert.p + 3)
+    d = G_entries(w, pert, ks, l_idx) @ c
+
+    xis = np.linspace(0.0, 1.0 / p, xi_grid_n + 1)
+    A = _A_stack(w, lat, pert, xis, tol)  # (nxi, p, p)
+
+    x_vec = _residue_series(l_idx, c, p, xis)
+    y_vec = _residue_series(ks, d, p, xis)
+    y_from_A = np.einsum("nrs,ns->nr", A, x_vec)
+    max_dev = float(np.max(np.abs(y_from_A - y_vec)))
+    passed = max_dev < 100.0 * tol
+    if not passed:
+        raise ZibulskiError(
+            f"factorization identity violated: max deviation {max_dev:.3g} "
+            f">= {100 * tol:g}")
+    return FactorizationReport(max_dev=max_dev, tol=tol, passed=passed,
+                               xi_grid_n=xi_grid_n)
+
+
+def _residue_series(idx: np.ndarray, vals: np.ndarray, p: int,
+                    xis: np.ndarray) -> np.ndarray:
+    """Per residue r, the sum of vals[m] e^{-2 pi i p n xi} over the
+    entries m with idx[m] = r + p n; shape (nxi, p).
+
+    The e^{-2 pi i} convention matches the Zak kernel orientation:
+    sum_j g(x + p j) e^{-2 pi i p j xi} = Z_p g(x, xi).
+    """
+    out = np.empty((len(xis), p), dtype=complex)
+    for r in range(p):
+        sel = idx % p == r
+        ns = (idx[sel] - r) // p
+        out[:, r] = np.exp(-2j * math.pi * p * np.outer(xis, ns)) @ vals[sel]
+    return out
+
+
+@dataclass(frozen=True)
+class InverseDecayFit:
+    C: float
+    sigma: float
+    cond: float
+    distances: np.ndarray
+    profile: np.ndarray
+
+
+def inverse_decay_profile(section: MatrixSection,
+                          tail_tol: float = 1e-10) -> InverseDecayFit:
+    """Invert the section and fit |G^{-1}_{kl}| <= C (1+|k-l|)^{-sigma}.
+
+    Only interior rows/columns (at least one truncation radius from the
+    section edge) enter the fit; the profile is the per-distance maximum
+    of |G^{-1}| up to distance 12, regressed log-log against 1 + distance.
+    A section with condition number above 1e12 raises.
+    """
+    A = section.entries
+    if A.shape[0] != A.shape[1]:
+        raise TPMatrixError("inverse decay needs a square section")
+    cond = float(np.linalg.cond(A))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise TPMatrixError(f"section too ill-conditioned: cond = {cond:.3g}")
+    inv = np.linalg.inv(A)
+    n = A.shape[0]
+    R = section.decay_cert.tail_radius(tail_tol)
+    trim = min(R, (n - 1) // 3)
+    core = inv[trim:n - trim, trim:n - trim]
+    m = core.shape[0]
+    idx = np.arange(m)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    d_hi = min(12, m - 1)
+    ds, prof = [], []
+    for d in range(1, d_hi + 1):
+        vals = np.abs(core[dist == d])
+        v = float(np.max(vals))
+        if v > 1e-300:
+            ds.append(d)
+            prof.append(v)
+    if len(ds) < 3:
+        raise TPMatrixError("not enough off-diagonal distances for a decay fit")
+    ds = np.array(ds, dtype=float)
+    prof = np.array(prof)
+    X = np.log1p(ds)
+    Y = np.log(prof)
+    slope, intercept = np.polyfit(X, Y, 1)
+    return InverseDecayFit(C=float(np.exp(intercept)), sigma=float(-slope),
+                           cond=cond, distances=ds, profile=prof)

@@ -415,6 +415,15 @@ def test_malformed_arguments_exit_64(tmp_path, monkeypatch):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("command", ["bounds", "diagnose"])
+def test_repeated_ladder_rung_exits_64(tmp_path, command):
+    # a repeated top rung compares the last rung with itself, so the
+    # ladder's 10% rule would pass whatever the ladder shows: bad input
+    code, text = run([command, "--window", '{"kind": "sech"}', "--alpha", "7/8",
+                      "--j-ladder", "1,2,3,3"], tmp_path)
+    assert code == 64 and text is None
+
+
 def test_option_flags_mirror_pipeline_options():
     # one flag per PipelineOptions setting the command reads, none for the
     # others, and no default of its own, so a new field cannot get a second

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from tpgabor.pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
                               effective_window, zak_anchor)
 from tpgabor.pregramian import FrameDiagnosis
 from tpgabor.tpmatrix import alternating_witness
-from tpgabor.windows import Dilated, Gaussian
+from tpgabor.windows import Dilated, Gaussian, window_from_config
 from tpgabor.zak import zak_on_half_line
 from tpgabor.zibulski import InjectivityCertificate, injectivity_scan
 
@@ -145,3 +146,27 @@ def test_diagnose_one_certificate_x_at_q_128(gauss, monkeypatch):
                             min_sigma=1.0, sigma_cert=1.0, invertible=True))
     diagnose(gauss, lat, PipelineOptions())
     assert calls == [0.0]
+
+
+# the five windows of the benchmark
+FAREY_WINDOWS = {
+    "gauss": {"kind": "gaussian"},
+    "tsexp": {"kind": "two_sided_exp", "rate": 1.0},
+    "sech": {"kind": "sech", "a": 1.0},
+    "ose": {"kind": "one_sided_exp", "gamma": 1.0},
+    "fp3": {"kind": "finite_product", "gamma": 0.0,
+            "nus": [1.0, -0.5, 0.25], "nu": 0.0, "c": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAREY_WINDOWS))
+def test_farey_sweep_verdicts(name):
+    # the theorem at default options: Frame at every p/q < 1 with q <= 12
+    # (45 lattices), NotFrame at every p/q in (1, 2] with q <= 12 (46)
+    w = window_from_config(FAREY_WINDOWS[name])
+    below = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
+    above = sorted({1 + a for a in below} | {Fraction(2)})
+    assert (len(below), len(above)) == (45, 46)
+    for alphas, verdict in ((below, "Frame"), (above, "NotFrame")):
+        got = {str(a): diagnose(w, reduce(a, 1)).verdict for a in alphas}
+        assert got == {str(a): verdict for a in alphas}

@@ -15,7 +15,7 @@ from tpgabor.pregramian import (PregramianError, frame_bounds,
 from tpgabor.windows import (Dilated, FiniteProduct, Gaussian,
                              HyperbolicSecant, OneSidedExp, truncation_radius,
                              two_sided_exponential)
-from tpgabor.zibulski import transfer_frame_bound, transfer_window
+from tpgabor.zibulski import transfer_window
 
 EVEN = {"gauss": Gaussian(gamma=math.pi), "sech": HyperbolicSecant(a=1.0),
         "tsexp": two_sided_exponential(rate=1.0),
@@ -270,7 +270,7 @@ def test_ladder_rungs_bounded_below_by_transfer_window(request, name, alpha):
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
     ladder = frame_bounds(w, lat, x_grid_n=16).evidence[0]
-    A_x = transfer_frame_bound(w, lat, ladder["x"])[0]
+    A_x = transfer_window(w, lat, [ladder["x"]])[0][0]
     assert min(ladder["A_trace"]) >= A_x * (1 - 1e-12)
 
 
@@ -288,7 +288,7 @@ def test_cross_validation_with_transfer_bound(gauss):
     lat = reduce("2/3", 1)
     diag = frame_bounds(gauss, lat, x_grid_n=16)
     xs = np.arange(16) / (16 * lat.q)
-    lows = [transfer_frame_bound(gauss, lat, x=float(x))[0] for x in xs]
+    lows = [transfer_window(gauss, lat, [x])[0][0] for x in xs]
     assert diag.lower_bound_est == pytest.approx(min(lows), rel=1e-12)
     assert diag.worst_x == pytest.approx(float(xs[int(np.argmin(lows))]))
     ladder, window = diag.evidence[0], diag.evidence[1]
@@ -313,8 +313,8 @@ def test_even_window_mirror_symmetry(name, q, p, t):
     lat = RationalLattice(p=p // d, q=q // d)
     w = EVEN[name]
     x = t / lat.q
-    lo0, hi0 = transfer_frame_bound(w, lat, x)
-    lo1, hi1 = transfer_frame_bound(w, lat, 1.0 / lat.q - x)
+    (lo0,), (hi0,), _ = transfer_window(w, lat, [x])
+    (lo1,), (hi1,), _ = transfer_window(w, lat, [1.0 / lat.q - x])
     assert lo1 == pytest.approx(lo0, rel=1e-9)
     assert hi1 == pytest.approx(hi0, rel=1e-9)
 
@@ -365,6 +365,13 @@ def test_frame_bounds_validation(gauss):
     for ladder in ((0, 16, 32), (-5, 16, 32), (16, 16, 16)):
         with pytest.raises(PregramianError):
             frame_bounds(gauss, reduce("1/2", 1), J_ladder=ladder)
+
+
+def test_frame_bounds_rejects_repeated_rung(sech):
+    # a repeated top rung compares the last rung with itself: its relative
+    # change reads 0, and the 10% rule would pass whatever the ladder shows
+    with pytest.raises(PregramianError, match="J_ladder entries must be distinct"):
+        frame_bounds(sech, reduce("7/8", 1), J_ladder=(1, 2, 3, 3))
 
 
 def _interior_gram_bound(sec, w, lat, J):

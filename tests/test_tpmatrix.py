@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_pert
+from oracles import inverse_decay_profile
 from tpgabor import tpmatrix
 from tpgabor.lattice import PerturbationSeq, reduce
 from tpgabor.tpmatrix import (TPMatrixError, alternating_witness, build_G,
-                              inverse_decay_profile, tp_minor_audit)
+                              tp_minor_audit)
 from tpgabor.windows import OneSidedExp, truncation_radius
 from tpgabor.zak import zak_on_half_line
 
@@ -26,7 +27,8 @@ def test_build_G_entries(gauss):
     expected = gauss((ks + 0.5)[:, None] - ks[None, :].astype(float))
     assert np.array_equal(sec.entries, expected)
     assert sec.shape == (3, 3)
-    assert sec.row_offset == -1 and sec.col_offset == -1
+    assert np.array_equal(sec.row_points, ks + 0.5)
+    assert np.array_equal(sec.col_points, ks)
 
 
 def test_build_G_requires_full_period(gauss):

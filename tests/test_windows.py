@@ -5,8 +5,7 @@ import pytest
 
 from tpgabor.windows import (DecayProfile, Dilated, FiniteProduct, Gaussian,
                              HyperbolicSecant, OneSidedExp, WindowError,
-                             frame_at_critical_density, tp_samples_matrix,
-                             truncation_radius,
+                             frame_at_critical_density, truncation_radius,
                              two_sided_exponential, window_from_config)
 
 ALL = [Gaussian(gamma=math.pi), OneSidedExp(gamma=1.0),
@@ -132,12 +131,14 @@ def test_frame_at_critical_density():
 
 def test_tp_samples_matrix_trivial():
     w = Gaussian(gamma=math.pi)
-    assert tp_samples_matrix(w, [0.0], [0.0]).tolist() == [[1.0]]
+    xs = ys = np.array([0.0])
+    assert w(xs[:, None] - ys[None, :]).tolist() == [[1.0]]
 
 
 def test_tp_samples_matrix_2x2():
     w = Gaussian(gamma=math.pi)
-    A = tp_samples_matrix(w, [0.0, 1.0], [0.0, 1.0])
+    xs = ys = np.array([0.0, 1.0])
+    A = w(xs[:, None] - ys[None, :])
     e = math.exp(-math.pi)
     assert np.allclose(A, [[1.0, e], [e, 1.0]], atol=1e-15)
     assert np.linalg.det(A) == pytest.approx(1.0 - e * e, abs=1e-12)
@@ -145,17 +146,10 @@ def test_tp_samples_matrix_2x2():
 
 def test_tp_samples_matrix_one_sided_structure():
     w = OneSidedExp(gamma=1.0)
-    A = tp_samples_matrix(w, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+    xs = ys = np.array([0.0, 1.0, 2.0])
+    A = w(xs[:, None] - ys[None, :])
     assert np.all(A[np.triu_indices(3, k=1)] == 0.0)  # g(x-y)=0 for x<y
     assert float(np.linalg.det(A)) >= 0.0
-
-
-def test_tp_samples_matrix_validation():
-    w = Gaussian()
-    with pytest.raises(WindowError):
-        tp_samples_matrix(w, [0.0, 0.0], [0.0, 1.0])
-    with pytest.raises(WindowError):
-        tp_samples_matrix(w, list(range(13)), list(range(13)))
 
 
 @pytest.mark.parametrize("w", ALL, ids=lambda w: w.config()["kind"])
@@ -167,7 +161,7 @@ def test_random_minors_nonnegative(w):
         ys = np.sort(rng.uniform(-4, 4, size=n))
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             continue
-        A = tp_samples_matrix(w, xs, ys)
+        A = w(xs[:, None] - ys[None, :])
         scale = max(float(np.max(np.abs(A))), 1e-300)
         assert float(np.linalg.det(A)) >= -1e-10 * scale ** n
 

@@ -1,5 +1,4 @@
 import cmath
-import importlib
 import math
 import os
 import subprocess
@@ -12,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import tpgabor
+from tpgabor import zak as zakmod
 from tpgabor.windows import Gaussian, OneSidedExp, truncation_radius
-from tpgabor.zak import (ZakError, ZakZeroNotFound, _brentq, locate_zero, zak,
+from tpgabor.zak import (ZakError, ZakZeroNotFound, _brentq, locate_zero,
                          zak_bank, zak_on_half_line, zak_values)
 
 # theta-type alternating sum: sum_k (-1)^k e^{-pi k^2}, 40-digit reference
@@ -78,7 +78,7 @@ def test_zak_bank_flush_within_bound(gauss, sech, p):
 # ------------------------------------------------------------ point values
 
 def test_gaussian_zak_vanishes_at_half_half(gauss):
-    assert abs(zak(gauss, 1.0, 0.5, 0.5, tol=1e-12)) < 1e-10
+    assert abs(zak_values(gauss, 1.0, [0.5], 0.5, tol=1e-12)[0]) < 1e-10
 
 
 def test_gaussian_center_is_global_grid_minimizer(gauss):
@@ -95,22 +95,22 @@ def test_gaussian_center_is_global_grid_minimizer(gauss):
 
 def test_zak_positive_at_xi_zero(gauss):
     for x in (0.0, 0.3, 0.9):
-        z = zak(gauss, 1.0, x, 0.0)
-        assert z.im == pytest.approx(0.0, abs=1e-12)
-        assert z.re > 0.0
+        z = zak_values(gauss, 1.0, [x], 0.0)[0]
+        assert z.imag == pytest.approx(0.0, abs=1e-12)
+        assert z.real > 0.0
 
 
 def test_zak_matches_direct_summation(gauss, tsexp, sech):
     for w in (gauss, tsexp, sech):
         for (x, xi) in ((0.2, 0.7), (0.9, 0.1), (0.5, 0.5)):
-            got = zak(w, 1.0, x, xi, tol=1e-12).value
+            got = zak_values(w, 1.0, [x], xi, tol=1e-12)[0]
             assert abs(got - brute_zak(w, 1.0, x, xi)) < 1e-11
 
 
 def test_quasi_periodicity_examples(gauss):
     x, xi = 0.3, 0.2
-    z = zak(gauss, 1.0, x, xi, tol=1e-12).value
-    z1 = zak(gauss, 1.0, x + 1.0, xi, tol=1e-12).value
+    z = zak_values(gauss, 1.0, [x], xi, tol=1e-12)[0]
+    z1 = zak_values(gauss, 1.0, [x + 1.0], xi, tol=1e-12)[0]
     assert abs(z1 - cmath.exp(2j * math.pi * xi) * z) < 2e-12
 
 
@@ -121,16 +121,16 @@ def test_quasi_periodicity_random(gauss, tsexp):
         p = float(rng.choice([0.5, 1.0, 2.0]))
         x = float(rng.uniform(0, 1))
         xi = float(rng.uniform(0, 1))
-        z = zak(w, p, x, xi, tol=1e-12).value
-        zx = zak(w, p, x + p, xi, tol=1e-12).value
-        zxi = zak(w, p, x, xi + 1.0 / p, tol=1e-12).value
+        z = zak_values(w, p, [x], xi, tol=1e-12)[0]
+        zx = zak_values(w, p, [x + p], xi, tol=1e-12)[0]
+        zxi = zak_values(w, p, [x], xi + 1.0 / p, tol=1e-12)[0]
         assert abs(zx - cmath.exp(2j * math.pi * p * xi) * z) < 2e-12
         assert abs(zxi - z) < 2e-12
 
 
 def test_zak_rejects_bad_period(gauss):
     with pytest.raises(ZakError):
-        zak(gauss, 0.0, 0.1, 0.1)
+        zak_values(gauss, 0.0, [0.1], 0.1)
 
 
 # ----------------------------------------------------------- the half line
@@ -186,7 +186,7 @@ def test_one_sided_exp_has_no_zak_zero(ose):
     # closed form: Z eta(x, xi) = e^{-x} / (1 - e^{-1} e^{-2 pi i xi}) on
     # [0,1)^2, which never vanishes; the locator must refuse, not invent one
     for (x, xi) in ((0.0, 0.5), (0.5, 0.25), (0.99, 0.5)):
-        got = zak(ose, 1.0, x, xi, tol=1e-14).value
+        got = zak_values(ose, 1.0, [x], xi, tol=1e-14)[0]
         closed = math.exp(-x) / (1.0 - math.exp(-1) * cmath.exp(-2j * math.pi * xi))
         assert abs(got - closed) < 1e-12
     with pytest.raises(ZakZeroNotFound) as exc:
@@ -220,14 +220,15 @@ def test_zak_values_vectorized_consistency(gauss):
     xs = np.linspace(0, 1, 17)
     zs = zak_values(gauss, 1.0, xs, 0.3, tol=1e-12)
     for x, z in zip(xs, zs):
-        assert abs(z - zak(gauss, 1.0, float(x), 0.3, tol=1e-12).value) < 1e-14
+        one = zak_values(gauss, 1.0, [float(x)], 0.3, tol=1e-12)[0]
+        assert abs(z - one) < 1e-14
 
 
 def test_truncation_error_bound(gauss):
     # widen the cutoff: the reported value moves by less than the stated tol
     tol = 1e-8
     R = truncation_radius(gauss, tol)
-    z = zak(gauss, 1.0, 0.3, 0.7, tol=tol).value
+    z = zak_values(gauss, 1.0, [0.3], 0.7, tol=tol)[0]
     ref = brute_zak(gauss, 1.0, 0.3, 0.7, K=R + 50)
     assert abs(z - ref) < tol
 
@@ -244,7 +245,6 @@ def test_locate_zero_scans_half_period(gauss, ose, monkeypatch):
     for w in (gauss, ose):
         full = np.abs(zak_bank(w, 1.0, grid, grid, 1e-12))
         assert np.allclose(full[:, 1:], full[:, :0:-1], rtol=0, atol=1e-13)
-    zakmod = importlib.import_module("tpgabor.zak")
     bank, shapes = zakmod.zak_bank, []
 
     def spy(*args, **kwargs):
@@ -271,7 +271,6 @@ def test_half_line_array_matches_scalar_calls(gauss, ose):
 
 
 def test_half_line_rejects_imaginary_part(gauss, monkeypatch):
-    zakmod = importlib.import_module("tpgabor.zak")  # the package exports zak()
     bank = zakmod.zak_bank
     monkeypatch.setattr(zakmod, "zak_bank",
                         lambda *args: bank(*args) + 1e-6j)
@@ -290,7 +289,6 @@ def test_locate_zero_rejects_second_candidate(gauss, monkeypatch, cell, raises):
     # a second grid cell below 10 * zero_tol away from the located zero is a
     # numeric failure; the zero sits at grid cell (128, 128) of the 256 x 129
     # half grid xi = j/256, j <= 128
-    zakmod = importlib.import_module("tpgabor.zak")
     bank = zakmod.zak_bank
     value = 5e-10 if raises or cell == (129, 127) else 2e-9
 
@@ -309,6 +307,14 @@ def test_locate_zero_rejects_second_candidate(gauss, monkeypatch, cell, raises):
 
 
 # ------------------------------------------------ Brent's method, SciPy-free
+
+def test_package_exports_resolve():
+    # the package re-exports a small surface, and its name ``zak`` is the
+    # kernel's module, not a function of it
+    assert tpgabor.zak is zakmod
+    assert len(tpgabor.__all__) <= 25
+    assert all(hasattr(tpgabor, name) for name in tpgabor.__all__)
+
 
 def test_import_loads_no_scipy():
     # SciPy serves only the Gaussian-factor quadrature and the test oracles
@@ -366,7 +372,6 @@ def test_brentq_errors_match_scipy(f, a, b, maxiter):
 
 
 def test_locate_zero_brackets_match_scipy(gauss, tsexp, sech, monkeypatch):
-    zakmod = importlib.import_module("tpgabor.zak")
     calls = []
 
     def record(f, a, b, xtol, rtol):

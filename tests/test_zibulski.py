@@ -6,17 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pert
+from oracles import fourier_factorization_check
 from tpgabor import zibulski
 from tpgabor.lattice import (PerturbationSeq, RationalLattice, reduce,
                              select_perturbation)
 from tpgabor.pipeline import PipelineOptions, diagnose, zak_anchor
 from tpgabor.windows import (Dilated, Gaussian, HyperbolicSecant, OneSidedExp,
                              two_sided_exponential)
-from tpgabor.zak import zak
-from tpgabor.zibulski import (TRANSFER_XI_GRID_N, ZibulskiError, _transfer_stack,
-                              a_landscape, fourier_factorization_check,
-                              injectivity_scan, transfer_frame_bound,
-                              transfer_window, zz_matrix)
+from tpgabor.zak import zak_values
+from tpgabor.zibulski import (TRANSFER_XI_GRID_N, ZibulskiError, _A_stack,
+                              _transfer_stack, a_landscape, injectivity_scan,
+                              transfer_window)
 
 WINDOWS = {"gauss": Gaussian(gamma=math.pi), "sech": HyperbolicSecant(a=1.0),
            "tsexp": two_sided_exponential(rate=1.0),
@@ -32,45 +32,43 @@ def const_pert(delta, x0=0.5, M=0, eps=0.1):
 
 def test_zz_matrix_p1_collapse(gauss):
     lat = reduce("1/2", 1)
-    m = zz_matrix(gauss, lat, const_pert(0.2), xi=0.3)
-    assert m.entries.shape == (1, 1)
-    ref = zak(gauss, 1.0, 0.2, 0.3, tol=1e-12).value
-    assert abs(m.entries[0, 0] - ref) < 1e-11
+    m = _A_stack(gauss, lat, const_pert(0.2), np.array([0.3]), 1e-10)[0]
+    assert m.shape == (1, 1)
+    ref = zak_values(gauss, 1.0, [0.2], 0.3, tol=1e-12)[0]
+    assert abs(m[0, 0] - ref) < 1e-11
 
 
 def test_zz_matrix_entries_p2(gauss, zak_zeros):
     lat = reduce("2/3", 1)
     pert = make_pert(lat, 0.1, zak_zeros["gauss"].x0)
-    m = zz_matrix(gauss, lat, pert, xi=0.0)
-    assert m.entries.shape == (2, 2)
+    m = _A_stack(gauss, lat, pert, np.array([0.0]), 1e-10)[0]
+    assert m.shape == (2, 2)
     for r in range(2):
         for s in range(2):
-            ref = zak(gauss, 2.0, r + pert.delta(r) - s, 0.0, tol=1e-12).value
-            assert abs(m.entries[r, s] - ref) < 1e-10
+            ref = zak_values(gauss, 2.0, [r + pert.delta(r) - s], 0.0,
+                             tol=1e-12)[0]
+            assert abs(m[r, s] - ref) < 1e-10
     # at xi = 0 every Zak sum of the Gaussian is a sum of positive terms
-    assert np.all(m.entries.real > 0)
-    assert abs(np.linalg.det(m.entries)) > 0
+    assert np.all(m.real > 0)
+    assert abs(np.linalg.det(m)) > 0
 
 
 def test_zz_matrix_xi_periodicity(gauss, zak_zeros):
     lat = reduce("2/3", 1)
     pert = make_pert(lat, 0.1, zak_zeros["gauss"].x0)
     xi = 0.17
-    m = zz_matrix(gauss, lat, pert, xi=xi, tol=1e-12)
+    m = _A_stack(gauss, lat, pert, np.array([xi]), 1e-12)[0]
     for r in range(2):
         for s in range(2):
-            shifted = zak(gauss, 2.0, r + pert.delta(r) - s, xi + 0.5,
-                          tol=1e-12).value
-            assert abs(m.entries[r, s] - shifted) < 2e-12
+            shifted = zak_values(gauss, 2.0, [r + pert.delta(r) - s], xi + 0.5,
+                                 tol=1e-12)[0]
+            assert abs(m[r, s] - shifted) < 2e-12
 
 
 def test_zz_matrix_validation(gauss):
     lat = reduce("2/3", 1)
-    with pytest.raises(ZibulskiError):
-        zz_matrix(gauss, lat, const_pert(0.2), xi=0.3)  # period mismatch
-    pert = PerturbationSeq(deltas=(0.1, 0.2), M=0, eps=0.05, x=0.0, x0=0.5)
-    with pytest.raises(ZibulskiError):
-        zz_matrix(gauss, lat, pert, xi=0.9)  # outside [0, 1/p]
+    with pytest.raises(ZibulskiError):  # period mismatch
+        _A_stack(gauss, lat, const_pert(0.2), np.array([0.3]), 1e-10)
 
 
 # ----------------------------------------------------------- factorization
@@ -145,7 +143,6 @@ def test_injectivity_grid_floor(gauss, gauss_pert_23):
 
 
 def test_det_sigma_inequalities(gauss, gauss_pert_23):
-    from tpgabor.zibulski import _A_stack
     lat, pert = gauss_pert_23
     xis = np.linspace(0.0, 1.0 / lat.p, 65)
     A = _A_stack(gauss, lat, pert, xis, 1e-12)
@@ -157,7 +154,6 @@ def test_det_sigma_inequalities(gauss, gauss_pert_23):
 
 
 def test_det_continuity_on_grid(gauss, gauss_pert_23):
-    from tpgabor.zibulski import _A_stack
     lat, pert = gauss_pert_23
     xis = np.linspace(0.0, 1.0 / lat.p, 257)
     A = _A_stack(gauss, lat, pert, xis, 1e-12)
@@ -201,6 +197,28 @@ def test_sigma_cert_below_dense_sigma_min(anchors, name, q, p, x):
     smin, _ = a_landscape(w, lat, pert, xis, 1e-10)
     assert 0 <= cert.sigma_cert <= np.min(smin)
     assert cert.invertible == (cert.sigma_cert > 1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["gauss", "sech", "tsexp", "ose"]),
+       q=st.integers(2, 16), p=st.integers(1, 15),
+       x=st.floats(0.0, 1.0, exclude_max=True), xi=st.floats(0.0, 1.0))
+def test_A_rows_are_phased_transfer_rows(anchors, name, q, p, x, xi):
+    # r + delta_r = x + alpha j_r and j_r = a_r + q m_r, a_r = j_r mod q, so
+    # Z_p g(y + p m, xi) = e^{2 pi i p m xi} Z_p g(y, xi) makes row r of
+    # A(xi) row a_r of B(x, xi) times e^{2 pi i p m_r xi}
+    d = math.gcd(min(p, q - 1), q)
+    lat = RationalLattice(p=min(p, q - 1) // d, q=q // d)
+    w = WINDOWS[name]
+    pert = select_perturbation(lat, x, anchors[name])
+    js = np.array(pert.js)
+    a = js % lat.q
+    m = (js - a) // lat.q
+    assert len(set(a.tolist())) == lat.p
+    A = _A_stack(w, lat, pert, np.array([xi]), 1e-12)[0]
+    B = _transfer_stack(w, lat, np.array([x]), np.array([xi]), 1e-12)[0, 0]
+    phased = np.exp(2j * math.pi * lat.p * m * xi)[:, None] * B[a]
+    assert np.max(np.abs(A - phased)) <= 1e-11 * np.max(np.abs(B))
 
 
 def _count_svd_matrices(monkeypatch):
@@ -269,14 +287,14 @@ def test_injectivity_below_transfer_lower_bound(request, name, alpha):
     for x in np.arange(n // math.gcd(n, lat.q)) / n:
         pert = select_perturbation(lat, float(x), x0)
         sigma = injectivity_scan(w, lat, pert).min_sigma
-        assert sigma ** 2 <= transfer_frame_bound(w, lat, float(x))[0] * (1 + 1e-12)
+        assert sigma ** 2 <= transfer_window(w, lat, [x])[0][0] * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------- transfer
 
 def test_transfer_frame_bound_positive(gauss):
     lat = reduce("1/2", 1)
-    lo, hi = transfer_frame_bound(gauss, lat, x=0.1)
+    (lo,), (hi,), _ = transfer_window(gauss, lat, [0.1])
     assert 0 < lo < hi
 
 
@@ -294,7 +312,7 @@ def test_transfer_frame_bound_matches_direct_sum(sech, ose, alpha):
         gv = np.where(np.abs(arg) <= 60.0, w(arg), 0.0)
         B = np.einsum("abk,kn->nab", gv, np.exp(2j * math.pi * p * np.outer(k, xis)))
         sig = np.linalg.svd(B, compute_uv=False)
-        lo, hi = transfer_frame_bound(w, lat, x=x)
+        (lo,), (hi,), _ = transfer_window(w, lat, [x])
         assert lo == pytest.approx(np.min(sig[:, -1]) ** 2, rel=1e-9)
         assert hi == pytest.approx(np.max(sig[:, 0]) ** 2, rel=1e-9)
 
@@ -331,7 +349,7 @@ def test_transfer_window_chunks_agree(gauss, monkeypatch):
 def test_transfer_frame_bound_rank_deficient(gauss, alpha):
     # q < p: the q x p matrix has rank at most q, so the lower bound is 0
     lat = reduce(alpha, 1)
-    lo, hi = transfer_frame_bound(gauss, lat, x=0.1)
+    (lo,), (hi,), _ = transfer_window(gauss, lat, [0.1])
     assert lo == 0.0
     assert hi > 0
 
@@ -343,8 +361,8 @@ def test_transfer_window_one_over_q_periodic(gauss, q, p, x):
     # alpha*Z + Z = Z/q, so the spectrum of P(x) has period 1/q in x
     g = math.gcd(p, q)
     lat = RationalLattice(p=p // g, q=q // g)
-    lo, hi = transfer_frame_bound(gauss, lat, x=x)
-    lo_s, hi_s = transfer_frame_bound(gauss, lat, x=x + 1.0 / lat.q)
+    (lo,), (hi,), _ = transfer_window(gauss, lat, [x])
+    (lo_s,), (hi_s,), _ = transfer_window(gauss, lat, [x + 1.0 / lat.q])
     assert abs(lo - lo_s) <= 1e-12
     assert abs(hi - hi_s) <= 1e-12
 
