@@ -16,7 +16,9 @@ are fixed, randomized audits take an explicit seed, and scan workers are
 assembled in input order regardless of completion order.
 
 Exit codes: 0 = Frame, 1 = NotFrame, 2 = Inconclusive, 64 = bad input
-(a malformed flag, config file, window spec or TPGABOR_JOBS value).
+(a malformed flag, config file, window spec or TPGABOR_JOBS value).  A
+command whose certificate fails on valid input (no verdict, no data file)
+exits 2.
 """
 from __future__ import annotations
 
@@ -42,7 +44,8 @@ from .zibulski import ZibulskiError, a_landscape
 
 EXIT_BAD_CONFIG = 64
 _VERDICT_EXIT = {"Frame": 0, "NotFrame": 1, "Inconclusive": 2}
-# failures of one scan point that the scan records as an "Error" row
+# failures to produce a certificate: a scan records one as an "Error" row,
+# and a command that meets one exits 2 (Inconclusive)
 _DOMAIN_ERRORS = (LatticeError, WindowError, ZakError, ZibulskiError,
                   PregramianError, TPMatrixError, np.linalg.LinAlgError)
 
@@ -176,9 +179,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _joined(a) -> str:
+    """The ``repr`` of each element of a nonempty 1-d array (float or int),
+    ", "-joined, in one C pass."""
+    return repr(a.tolist())[1:-1]
+
+
 def _reprs(a) -> list:
     """``repr`` of each element of a 1-d array (float or int), in one C pass."""
-    return repr(a.tolist())[1:-1].split(", ") if a.size else []
+    return _joined(a).split(", ") if a.size else []
+
+
+def _negated(text: str) -> str:
+    """``repr(-v)`` in place of ``repr(v)`` for each finite float v of a
+    ", "-joined text: a leading "-" is dropped, else one is added.  The only
+    other "-" in a finite float's repr follows an "e", so "--" marks exactly
+    the values that were negative."""
+    return ("-" + text.replace(", ", ", -")).replace("--", "")
 
 
 def _json_dump(obj) -> str:
@@ -250,23 +267,40 @@ def cmd_bounds(args) -> int:
 # --------------------------------------------------------------------- zak
 
 def cmd_zak(args) -> int:
+    """Zg(x, xi) on the n x n grid of [0, 1)^2, xi-major.
+
+    g is real, so Zg(x, 1 - xi) = conj Zg(x, xi): only the blocks
+    xi = j/n with j <= n/2 are evaluated, and block n - j prints block j's
+    re and abs text and its im text negated.
+    """
     w = _load_window(args.window)
     n = args.grid_n
     if n < 8:
         raise ConfigError("zak grid_n must be >= 8")
     grid = np.arange(n) / n
-    table = zak_bank(w, 1.0, grid, grid, _options(args).tail_tol)  # [x, xi]
+    half = zak_bank(w, 1.0, grid, grid[:n // 2 + 1], _options(args).tail_tol)
     xs = _reprs(grid)
 
     def rows():
         # one xi row block at a time keeps memory flat; the rows go out as
         # they are, since joined blocks of 10-100 kB fragment the C heap
-        # (a later op's peak RSS rose by about 2 MB in-process)
+        # (a later op's peak RSS rose by about 2 MB in-process).  A block
+        # waiting for its mirror is held as its three joined texts, not as
+        # lists of per-value strings, which cost about 57 bytes per value
+        # on top of the text's 20 or so
         yield "# schema=tpgabor-zak-v1\nx,xi,re,im,abs\n"
-        for xi, zs in zip(xs, table.T):
-            re, im = zs.real, zs.imag
+        waiting = []  # blocks 1 .. (n - 1) // 2, popped by blocks n - j
+        for j, xi in enumerate(xs):
+            if j <= n // 2:
+                re, im = half[:, j].real, half[:, j].imag
+                texts = [_joined(re), _joined(im), _joined(np.hypot(re, im))]
+                if 0 < j < n - j:
+                    waiting.append(texts)
+            else:
+                re, im, ab = waiting.pop()
+                texts = [re, _negated(im), ab]
             yield from [f"{x},{xi},{r},{i},{a}\n" for x, r, i, a in zip(
-                xs, _reprs(re), _reprs(im), _reprs(np.hypot(re, im)))]
+                xs, *(t.split(", ") for t in texts))]
 
     _emit(rows(), args.output)
     return 0
@@ -275,11 +309,18 @@ def cmd_zak(args) -> int:
 # ------------------------------------------------------------------- zzdet
 
 def cmd_zzdet(args) -> int:
+    """|det A(xi)| and sigma_min(A(xi)) on linspace(0, 1/p, xi_grid_n + 1).
+
+    g is real, so A(1/p - xi) = conj A(xi) has the same singular values:
+    only xi <= 1/(2p) is evaluated, and row i prints row min(i, N - i).
+    """
     g, lat, opts, pert = _perturbation(args)
-    xis = np.linspace(0.0, 1.0 / lat.p, opts.xi_grid_n + 1)
-    sig, dets = a_landscape(g, lat, pert, xis, opts.tail_tol)
+    N = opts.xi_grid_n
+    xis = np.linspace(0.0, 1.0 / lat.p, N + 1)
+    sig, dets = a_landscape(g, lat, pert, xis[:N // 2 + 1], opts.tail_tol)
+    values = list(map(",".join, zip(_reprs(dets), _reprs(sig))))
     lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
-    lines += map(",".join, zip(_reprs(xis), _reprs(dets), _reprs(sig)))
+    lines += [f"{xi},{values[min(i, N - i)]}" for i, xi in enumerate(_reprs(xis))]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -292,7 +333,7 @@ def cmd_witness(args) -> int:
     lines = ["# schema=tpgabor-witness-v1", "k,u"]
     lines += map(",".join, zip(_reprs(wit.ks), _reprs(wit.u)))
     lines.append(f"# nu={wit.nu!r}")
-    lines.append(f"# alternating={wit.sign_pattern_ok}")
+    lines.append("# alternating=True")  # alternating_witness raises otherwise
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -411,6 +452,9 @@ def main(argv=None) -> int:
     except (ConfigError, LatticeError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except _DOMAIN_ERRORS as e:  # valid input, but no certificate
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return _VERDICT_EXIT["Inconclusive"]
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ class AlternatingWitness:
 
     u: np.ndarray
     nu: float
-    sign_pattern_ok: bool
     ks: np.ndarray
 
 
@@ -109,7 +108,7 @@ def alternating_witness(w: TPWindow, pert: PerturbationSeq, K: int,
         raise TPMatrixError(
             f"witness degenerate: nu = {nu:.3g}, alternating = {sign_ok}; "
             "delta too close to the Zak zero or window hypothesis failure")
-    return AlternatingWitness(u=u, nu=nu, sign_pattern_ok=sign_ok, ks=ks)
+    return AlternatingWitness(u=u, nu=nu, ks=ks)
 
 
 # random keys per chunk of the minor audit: memory stays flat in ``trials``

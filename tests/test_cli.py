@@ -3,13 +3,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tpgabor import cli, tpmatrix
 from tpgabor.lattice import reduce, select_perturbation
 from tpgabor.pipeline import PipelineOptions, effective_window, zak_anchor
-from tpgabor.tpmatrix import alternating_witness, build_G
+from tpgabor.tpmatrix import TPMatrixError, alternating_witness, build_G
 from tpgabor.windows import OneSidedExp, window_from_config
-from tpgabor.zak import zak_bank
+from tpgabor.zak import ZakError, zak_bank
 from tpgabor.zibulski import ZibulskiError, a_landscape
 
 GAUSS = '{"kind": "gaussian", "gamma": 3.141592653589793}'
@@ -213,10 +215,12 @@ def test_zzdet_columns_are_a_landscape(tmp_path, gauss):
     lat = reduce("2/3", 1)
     pert = select_perturbation(lat, 0.1, zak_anchor(gauss, PipelineOptions())[0])
     xis = np.linspace(0.0, 0.5, 129)
-    sig, dets = a_landscape(gauss, lat, pert, xis, 1e-10)
+    # A(1/p - xi) = conj A(xi): row i holds the values of row min(i, 128 - i)
+    sig, dets = a_landscape(gauss, lat, pert, xis[:65], 1e-10)
+    mirror = np.minimum(np.arange(129), 128 - np.arange(129))
     assert np.array_equal(rows[:, 0], xis)
-    assert np.array_equal(rows[:, 1], dets)
-    assert np.array_equal(rows[:, 2], sig)
+    assert np.array_equal(rows[:, 1], dets[mirror])
+    assert np.array_equal(rows[:, 2], sig[mirror])
 
 
 def test_witness_output(tmp_path):
@@ -255,10 +259,12 @@ def test_audit_passes(tmp_path):
 
 
 def _per_row_zak(w, n):
+    # Zg(x, 1 - xi) = conj Zg(x, xi): block j > n/2 is block n - j conjugated
     grid = np.arange(n) / n
-    table = zak_bank(w, 1.0, grid, grid, PipelineOptions().tail_tol)
+    half = zak_bank(w, 1.0, grid, grid[:n // 2 + 1], PipelineOptions().tail_tol)
     lines = ["# schema=tpgabor-zak-v1", "x,xi,re,im,abs"]
-    for xi, zs in zip(grid, table.T):
+    for j, xi in enumerate(grid):
+        zs = half[:, j] if j <= n // 2 else np.conj(half[:, n - j])
         for x, z in zip(grid, zs):
             lines.append(f"{float(x)!r},{float(xi)!r},{float(z.real)!r},"
                          f"{float(z.imag)!r},{float(abs(z))!r}")
@@ -274,10 +280,13 @@ def _data_perturbation(w, alpha, x):
 def _per_row_zzdet(w, alpha, x, xi_grid_n):
     g, lat, pert = _data_perturbation(w, alpha, x)
     xis = np.linspace(0.0, 1.0 / lat.p, xi_grid_n + 1)
-    sig, dets = a_landscape(g, lat, pert, xis, PipelineOptions().tail_tol)
+    # A(1/p - xi) = conj A(xi): row i > N/2 repeats the values of row N - i
+    sig, dets = a_landscape(g, lat, pert, xis[:xi_grid_n // 2 + 1],
+                            PipelineOptions().tail_tol)
     lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
-    for xi, d, s in zip(xis, dets, sig):
-        lines.append(f"{float(xi)!r},{float(d)!r},{float(s)!r}")
+    for i, xi in enumerate(xis):
+        m = min(i, xi_grid_n - i)
+        lines.append(f"{float(xi)!r},{float(dets[m])!r},{float(sig[m])!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -288,7 +297,7 @@ def _per_row_witness(w, alpha, x, K):
     for k, u in zip(wit.ks, wit.u):
         lines.append(f"{int(k)},{float(u)!r}")
     lines.append(f"# nu={wit.nu!r}")
-    lines.append(f"# alternating={wit.sign_pattern_ok}")
+    lines.append("# alternating=True")
     return "\n".join(lines) + "\n"
 
 
@@ -317,22 +326,103 @@ def test_csv_bytes_match_per_row_formatting(tmp_path, name):
     # the per-row f-string formatters are the reference, byte for byte
     spec = PLOT_WINDOWS[name]
     w = window_from_config(json.loads(spec))
-    for n in (8, 256):
+    for n in (8, 9, 256):
         code, text = run(["zak", "--window", spec, "--grid-n", str(n)], tmp_path)
         assert code == 0 and text == _per_row_zak(w, n)
-    code, text = run(["zzdet", "--window", spec, "--alpha", "15/16", "--x", "0.375",
-                      "--xi-grid-n", "256"], tmp_path)
-    assert code == 0 and text == _per_row_zzdet(w, "15/16", 0.375, 256)
+    for N in (256, 129):
+        code, text = run(["zzdet", "--window", spec, "--alpha", "15/16",
+                          "--x", "0.375", "--xi-grid-n", str(N)], tmp_path)
+        assert code == 0 and text == _per_row_zzdet(w, "15/16", 0.375, N)
     for K in (0, 64):
         code, text = run(["witness", "--window", spec, "--alpha", "2/3",
                           "--x", "0.625", "--K", str(K)], tmp_path)
         assert code == 0 and text == _per_row_witness(w, "2/3", 0.625, K)
 
 
+@pytest.mark.parametrize("name", sorted(PLOT_WINDOWS))
+def test_mirrored_half_matches_full_period(tmp_path, name):
+    # the printed half-period mirror against a direct evaluation of every
+    # xi: the Zak values to 1e-14 absolute, the zzdet columns to 1e-12
+    # relative (p = 1 takes the single-point bank, p = 15 the stacked SVD)
+    spec = PLOT_WINDOWS[name]
+    w = window_from_config(json.loads(spec))
+    for n in (9, 128):
+        code, text = run(["zak", "--window", spec, "--grid-n", str(n)], tmp_path)
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in text.splitlines()[2:]])
+        grid = np.arange(n) / n
+        full = zak_bank(w, 1.0, grid, grid, PipelineOptions().tail_tol).T.ravel()
+        assert code == 0
+        assert np.max(np.abs(rows[:, 2] - full.real)) <= 1e-14
+        assert np.max(np.abs(rows[:, 3] - full.imag)) <= 1e-14
+        assert np.max(np.abs(rows[:, 4] - np.abs(full))) <= 1e-14
+    for alpha, N in (("1/2", 128), ("15/16", 129)):
+        code, text = run(["zzdet", "--window", spec, "--alpha", alpha,
+                          "--x", "0.375", "--xi-grid-n", str(N)], tmp_path)
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in text.splitlines()[2:]])
+        g, lat, pert = _data_perturbation(w, alpha, 0.375)
+        xis = np.linspace(0.0, 1.0 / lat.p, N + 1)
+        sig, dets = a_landscape(g, lat, pert, xis, PipelineOptions().tail_tol)
+        assert code == 0 and np.array_equal(rows[:, 0], xis)
+        np.testing.assert_allclose(rows[:, 1], dets, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rows[:, 2], sig, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_zak_mirror_blocks_share_text(tmp_path, n):
+    # block n - j repeats block j's x, re and abs text and negates its im text
+    code, text = run(["zak", "--window", PLOT_WINDOWS["tsexp"],
+                      "--grid-n", str(n)], tmp_path)
+    rows = [ln.split(",") for ln in text.splitlines()[2:]]
+    blocks = [rows[j * n:(j + 1) * n] for j in range(n)]
+    assert code == 0 and len(rows) == n * n
+    for j in range(1, (n + 1) // 2):  # block n/2 (xi = 1/2) is its own mirror
+        for (x, xi, re, im, ab), mx in zip(blocks[n - j], blocks[j]):
+            assert xi == repr((n - j) / n)
+            assert [x, re, ab] == [mx[0], mx[2], mx[4]]
+            assert im == (mx[3][1:] if mx[3].startswith("-") else "-" + mx[3])
+
+
+@settings(max_examples=500, deadline=None)
+@given(vs=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=8))
+@example(vs=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05,
+             -1e-05, 1e+16, -1e+16, 1.5e-300, -1.7976931348623157e+308])
+def test_negated_text_is_repr_of_negation(vs):
+    for v in vs:
+        assert cli._negated(repr(v)) == repr(-v)
+    assert cli._negated(", ".join(map(repr, vs))) == ", ".join(
+        repr(-v) for v in vs)
+
+
 def test_reprs_match_element_repr():
     for a in (np.array([-0.0, 5e-324, 1e16, np.nan, np.inf, -np.inf, 0.1, 1 / 3]),
               np.array([-3, 0, 2 ** 62], dtype=np.int64), np.array([])):
         assert cli._reprs(a) == [repr(v) for v in a.tolist()]
+
+
+@pytest.mark.parametrize("argv, patch", [
+    # a Zak value this close to 0 at tail_tol 1e-3: "witness degenerate"
+    (["witness", "--alpha", "2/3", "--tail-tol", "1e-3"], None),
+    (["zzdet", "--alpha", "2/3"],
+     ("a_landscape", ZibulskiError("perturbation period does not match"))),
+    (["zak", "--grid-n", "8"], ("zak_bank", ZakError("period p must be positive"))),
+    (["audit", "--alpha", "1/2", "--trials", "10"],
+     ("tp_minor_audit", TPMatrixError("section too small"))),
+], ids=["witness", "zzdet", "zak", "audit"])
+def test_failed_certificate_exits_2(tmp_path, capfd, monkeypatch, argv, patch):
+    # valid input with no certificate is Inconclusive: one error line, no
+    # traceback and no data file
+    if patch:
+        def fail(*args, **kwargs):
+            raise patch[1]
+        monkeypatch.setattr(cli, patch[0], fail)
+    code, text = run(argv + ["--window", '{"kind": "gaussian"}'], tmp_path)
+    err = capfd.readouterr().err
+    assert code == 2 and text is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------- configuration

@@ -62,7 +62,7 @@ def test_witness_matches_zak_oracle(gauss):
     base = zak_on_half_line(gauss, 0.0)
     expected = ((-1.0) ** wit.ks) * base
     assert np.max(np.abs(wit.u - expected)) < 1e-9
-    assert wit.sign_pattern_ok
+    assert np.all(wit.u[:-1] * wit.u[1:] < 0.0)
     assert wit.nu == pytest.approx(abs(base), abs=1e-9)
 
 
@@ -84,7 +84,7 @@ def test_witness_two_sided_exponential_p2(tsexp, zak_zeros):
     for _ in range(5):
         pert = make_pert(lat, float(rng.uniform(0, 1)), x0)
         wit = alternating_witness(tsexp, pert, K=16)
-        assert wit.sign_pattern_ok
+        assert np.all(wit.u[:-1] * wit.u[1:] < 0.0)
         assert wit.nu >= nu_bound - 1e-9
 
 
