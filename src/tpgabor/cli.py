@@ -45,9 +45,11 @@ from .zibulski import ZibulskiError, a_landscape
 EXIT_BAD_CONFIG = 64
 _VERDICT_EXIT = {"Frame": 0, "NotFrame": 1, "Inconclusive": 2}
 # failures to produce a certificate: a scan records one as an "Error" row,
-# and a command that meets one exits 2 (Inconclusive)
+# and a command that meets one exits 2 (Inconclusive).  A MemoryError is
+# an allocation refused for options too large for the machine
 _DOMAIN_ERRORS = (LatticeError, WindowError, ZakError, ZibulskiError,
-                  PregramianError, TPMatrixError, np.linalg.LinAlgError)
+                  PregramianError, TPMatrixError, np.linalg.LinAlgError,
+                  MemoryError)
 
 
 class ConfigError(ValueError):

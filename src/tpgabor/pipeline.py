@@ -62,8 +62,10 @@ def zak_anchor(g: TPWindow, opts: PipelineOptions) -> tuple:
     """The anchor x0 of the admissible intervals and its ``zak_zero`` record.
 
     x0 is the located Zak zero; a window outside the unique-zero hypothesis
-    (one-sided exponential) admits any interval, so it is anchored at the
-    |Zg| grid minimizer mod 1.
+    (one-sided exponential) admits any interval, so it is anchored where the
+    refinement of :func:`locate_zero` stops, mod 1: at the jump of
+    Zg(., 1/2) next to the |Zg| grid minimum.  The side of the jump it stops
+    on decides the perturbation at every x where two offsets tie.
     """
     try:
         zz = locate_zero(g, grid_n=opts.zak_grid_n, zero_tol=opts.zero_tol)

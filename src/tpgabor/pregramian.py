@@ -71,10 +71,7 @@ def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,
     """
     R = truncation_radius(w, tail_tol)
     K = -(-lat.p * J // lat.q) + R  # ceil(alpha J), exact
-    return MatrixSection(entries=_lattice_grid_section(w, lat, x, J, K),
-                         row_points=x + lat.alpha_float * np.arange(-J, J + 1),
-                         col_points=np.arange(-K, K + 1.0),
-                         decay_cert=w.decay)
+    return MatrixSection(entries=_lattice_grid_section(w, lat, x, J, K))
 
 
 def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,

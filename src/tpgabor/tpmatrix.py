@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PerturbationSeq
-from .windows import DecayProfile, TPWindow, truncation_radius
+from .windows import TPWindow, truncation_radius
 from .zak import zak_on_half_line
 
 
@@ -23,16 +23,9 @@ class TPMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatrixSection:
-    """Dense finite section of an infinite matrix.
-
-    ``row_points``/``col_points`` give the real sample points behind each
-    row and column, so entry (j, k) is g(row_points[j] - col_points[k]).
-    """
+    """Dense finite section of an infinite matrix."""
 
     entries: np.ndarray
-    row_points: np.ndarray
-    col_points: np.ndarray
-    decay_cert: DecayProfile
 
     @property
     def shape(self):
@@ -74,10 +67,7 @@ def build_G(w: TPWindow, pert: PerturbationSeq, K: int) -> MatrixSection:
     if K < pert.p:
         raise TPMatrixError("section must cover at least one period: K >= p")
     ks = np.arange(-K, K + 1)
-    return MatrixSection(entries=G_entries(w, pert, ks, ks),
-                         row_points=ks + np.asarray(pert.deltas)[ks % pert.p],
-                         col_points=ks.astype(float),
-                         decay_cert=w.decay)
+    return MatrixSection(entries=G_entries(w, pert, ks, ks))
 
 
 def alternating_witness(w: TPWindow, pert: PerturbationSeq, K: int,

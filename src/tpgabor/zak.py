@@ -5,8 +5,8 @@ derived from the window's decay envelope so the reported truncation error
 is a certified bound.  :func:`zak_bank` is the one place the sum is
 written; the point values here, the Zak-zero scan and the A(xi) and
 B(x, xi) matrices of :mod:`tpgabor.zibulski` are all evaluated through it.
-The zero's x is refined by :func:`_brentq`, Brent's method ported from
-SciPy, so that importing the package loads no SciPy module.
+The zero's x is refined by the Illinois modified regula falsi (Dowell and
+Jarratt, BIT 11, 1971) on the real section x -> Zg(x, 1/2).
 """
 from __future__ import annotations
 
@@ -92,85 +92,6 @@ def zak_on_half_line(w: TPWindow, x, tol: float = 1e-12):
     return float(z[0].real) if np.ndim(x) == 0 else z.real
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
-    """A root of f in the sign-changing bracket [xa, xb], by Brent's method.
-
-    A line-for-line port of SciPy's ``scipy/optimize/Zeros/brentq.c``
-    (Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
-    Developers, BSD-3-Clause; Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4, with SciPy's extrapolation formula).  It
-    performs the same double operations in the same order, so it returns
-    the float ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)``
-    returns, and it raises as that does: ValueError for a NaN value of f
-    or for ends of the same sign, RuntimeError after maxiter iterations.
-    """
-    def fx(x):
-        v = float(f(x))
-        if math.isnan(v):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return v
-
-    def negative(v):  # C's signbit
-        return math.copysign(1.0, v) < 0.0
-
-    def div(a, b):  # C's a / b: +-inf or nan where Python raises
-        if b != 0:
-            return a / b
-        if a != 0 and a == a:
-            return math.copysign(math.inf, a) * math.copysign(1.0, b)
-        return math.nan
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if negative(fpre) == negative(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = div(-fcur * (xcur - xpre), fcur - fpre)
-            else:
-                # extrapolate
-                dpre = div(fpre - fcur, xpre - xcur)
-                dblk = div(fblk - fcur, xblk - xcur)
-                stry = div(-fcur * (fblk * dblk - fpre * dpre),
-                           dblk * dpre * (fblk - fpre))
-            lim = 3 * abs(sbis) - delta  # MIN(a, b) is a < b ? a : b
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < lim else lim):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
 def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
                 tol: float = 1e-12) -> ZakZero:
     """Locate the unique zero of Zg in [0,1)^2.
@@ -178,10 +99,13 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
     Scans |Zg| on the grid x = i/n, xi = j/n (n = grid_n) for
     0 <= j <= n/2 only: g is real, so Zg(x, 1 - xi) = conj Zg(x, xi), and
     the half grid holds every value of |Zg| on the full one.  Then refines
-    x by Brent's method (:func:`_brentq`) on the real-valued section
-    x -> Zg(x, 1/2).  Raises :class:`ZakZeroNotFound` if no zero exists
-    (window outside the unique-zero hypothesis) and :class:`ZakError` if a
-    second candidate cell shows up.
+    x by the Illinois regula falsi on the real-valued section
+    x -> Zg(x, 1/2), from a sign change next to the grid minimum, until the
+    bracket is 1e-14 wide or the step falls below an ulp (at most 100
+    steps), and returns its latest iterate.  Raises
+    :class:`ZakZeroNotFound` if no zero exists (window outside the
+    unique-zero hypothesis) and :class:`ZakError` if a second candidate
+    cell shows up.
     """
     if grid_n < 64:
         raise ZakError("grid_n must be at least 64")
@@ -199,14 +123,31 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
     f = lambda x: zak_on_half_line(w, x, tol)
     h = 1.0 / grid_n
     xc, width = i0 / grid_n, h
-    while f(xc - width) * f(xc + width) > 0:
+    while (fa := f(xc - width)) * (fb := f(xc + width)) > 0:
         width += h
         if width > 4 * h:
             raise ZakZeroNotFound(
                 f"no sign change of Zg(., 1/2) near grid minimum "
                 f"|Zg| = {A[i0, j0]:.3g}",
                 min_abs=float(A[i0, j0]), argmin=(xc, xi_cell))
-    x0 = _brentq(f, xc - width, xc + width, xtol=1e-14, rtol=8.9e-16) % 1.0
+    # Illinois: the secant point of the bracket ends a and b replaces b;
+    # when it falls on b's side, a stays and its value is halved, which
+    # pulls the next secant point toward a, so a does not stay put while b
+    # creeps up on the zero
+    a, b = xc - width, xc + width
+    for _ in range(100):
+        if abs(b - a) <= 1e-14 or fb == 0:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        if c == b:  # the step is below an ulp of b: f(b) is the noise floor
+            break
+        fc = f(c)
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa /= 2
+        b, fb = c, fc
+    x0 = b % 1.0
     residual = abs(zak_values(w, 1.0, [x0], 0.5, tol)[0])
     if residual >= zero_tol:
         raise ZakZeroNotFound(

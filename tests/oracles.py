@@ -14,7 +14,7 @@ import numpy as np
 
 from tpgabor.lattice import PerturbationSeq, RationalLattice
 from tpgabor.tpmatrix import G_entries, MatrixSection, TPMatrixError
-from tpgabor.windows import TPWindow, truncation_radius
+from tpgabor.windows import DecayProfile, TPWindow, truncation_radius
 from tpgabor.zibulski import ZibulskiError, _A_stack
 
 
@@ -88,13 +88,14 @@ class InverseDecayFit:
     profile: np.ndarray
 
 
-def inverse_decay_profile(section: MatrixSection,
+def inverse_decay_profile(section: MatrixSection, decay: DecayProfile,
                           tail_tol: float = 1e-10) -> InverseDecayFit:
     """Invert the section and fit |G^{-1}_{kl}| <= C (1+|k-l|)^{-sigma}.
 
-    Only interior rows/columns (at least one truncation radius from the
-    section edge) enter the fit; the profile is the per-distance maximum
-    of |G^{-1}| up to distance 12, regressed log-log against 1 + distance.
+    Only interior rows/columns (at least one truncation radius of the
+    window's ``decay`` profile from the section edge) enter the fit; the
+    profile is the per-distance maximum of |G^{-1}| up to distance 12,
+    regressed log-log against 1 + distance.
     A section with condition number above 1e12 raises.
     """
     A = section.entries
@@ -105,7 +106,7 @@ def inverse_decay_profile(section: MatrixSection,
         raise TPMatrixError(f"section too ill-conditioned: cond = {cond:.3g}")
     inv = np.linalg.inv(A)
     n = A.shape[0]
-    R = section.decay_cert.tail_radius(tail_tol)
+    R = decay.tail_radius(tail_tol)
     trim = min(R, (n - 1) // 3)
     core = inv[trim:n - trim, trim:n - trim]
     m = core.shape[0]

@@ -209,7 +209,7 @@ def test_criterion_9_commutation_and_periodicity(gauss, tsexp, zak_zeros,
 def test_criterion_10_inverse_decay(gauss, zak_zeros, capsys):
     lat = reduce("2/3", 1)
     pert = make_pert(lat, 0.2, zak_zeros["gauss"].x0)
-    sigmas = [inverse_decay_profile(build_G(gauss, pert, K=K)).sigma
+    sigmas = [inverse_decay_profile(build_G(gauss, pert, K=K), gauss.decay).sigma
               for K in (16, 32)]
     ok = all(s > 1.0 for s in sigmas)
     ok = ok and abs(sigmas[0] - sigmas[1]) <= 0.2 * max(sigmas)

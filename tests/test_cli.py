@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpgabor import cli, tpmatrix
+from tpgabor import zak as zakmod
 from tpgabor.lattice import reduce, select_perturbation
 from tpgabor.pipeline import PipelineOptions, effective_window, zak_anchor
 from tpgabor.tpmatrix import TPMatrixError, alternating_witness, build_G
@@ -423,6 +424,28 @@ def test_failed_certificate_exits_2(tmp_path, capfd, monkeypatch, argv, patch):
     assert code == 2 and text is None
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_2(tmp_path, capfd, monkeypatch):
+    # options too large for the machine (diagnose --zak-grid-n 100000 asks
+    # for a 100000 x 50001 complex Zak bank) end in one error line and exit
+    # 2, and a scan records an Error row; the refusal is simulated here
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(zakmod, "zak_bank", refuse)
+    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1/2"] + FAST,
+                     tmp_path)
+    err = capfd.readouterr().err
+    assert code == 2 and text is None
+    assert err == "error: MemoryError: Unable to allocate 74.5 GiB for an array\n"
+    code, text = run(["scan", "--window", GAUSS, "--alphas", "1/2,3/2"] + FAST,
+                     tmp_path)
+    rows = [r.split(",") for r in text.strip().split("\n")[2:]]
+    assert code == 0
+    assert rows[0][3:] == ["Error", "", "",
+                           "MemoryError: Unable to allocate 74.5 GiB for an array"]
+    assert rows[1][3] == "NotFrame"
 
 
 # ----------------------------------------------------------- configuration

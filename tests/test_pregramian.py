@@ -25,6 +25,13 @@ EVEN = {"gauss": Gaussian(gamma=math.pi), "sech": HyperbolicSecant(a=1.0),
 
 # ---------------------------------------------------------------- sections
 
+def section_args(lat, x, sec):
+    """The arguments x + alpha j - k behind the section's entries."""
+    J, K = (n // 2 for n in sec.shape)
+    rows = x + lat.alpha_float * np.arange(-J, J + 1)
+    return rows[:, None] - np.arange(-K, K + 1.0)
+
+
 def test_section_shape_and_center(gauss):
     lat = reduce("1/2", 1)
     sec = pregramian_section(gauss, lat, x=0.0, J=2)
@@ -46,7 +53,7 @@ def test_section_row_consistency(gauss):
 def test_section_one_sided_support(ose):
     lat = reduce("1/2", 1)
     sec = pregramian_section(ose, lat, x=0.3, J=4)
-    args = sec.row_points[:, None] - sec.col_points[None, :]
+    args = section_args(lat, 0.3, sec)
     assert np.all(sec.entries[args < 0] == 0.0)
     assert np.all(sec.entries[args >= 0] > 0.0)
 
@@ -55,8 +62,7 @@ def test_section_envelope_invariant(gauss, tsexp):
     lat = reduce("3/4", 1)
     for w in (gauss, tsexp):
         sec = pregramian_section(w, lat, x=0.27, J=5)
-        env = sec.decay_cert.envelope(
-            sec.row_points[:, None] - sec.col_points[None, :])
+        env = w.decay.envelope(section_args(lat, 0.27, sec))
         assert np.all(np.abs(sec.entries) <= env + 1e-14)
 
 

@@ -27,8 +27,6 @@ def test_build_G_entries(gauss):
     expected = gauss((ks + 0.5)[:, None] - ks[None, :].astype(float))
     assert np.array_equal(sec.entries, expected)
     assert sec.shape == (3, 3)
-    assert np.array_equal(sec.row_points, ks + 0.5)
-    assert np.array_equal(sec.col_points, ks)
 
 
 def test_build_G_requires_full_period(gauss):
@@ -49,8 +47,11 @@ def test_shift_commutation_exact(gauss, tsexp):
 
 
 def test_entries_dominated_by_envelope(gauss):
-    sec = build_G(gauss, const_pert(0.3), K=6)
-    env = sec.decay_cert.envelope(sec.row_points[:, None] - sec.col_points[None, :])
+    pert = const_pert(0.3)
+    sec = build_G(gauss, pert, K=6)
+    ks = np.arange(-6, 7)
+    rows = ks + np.asarray(pert.deltas)[ks % pert.p]
+    env = gauss.decay.envelope(rows[:, None] - ks[None, :].astype(float))
     assert np.all(np.abs(sec.entries) <= env + 1e-14)
 
 
@@ -202,14 +203,15 @@ def test_minor_audit_draws_uniform():
 
 def test_inverse_decay_gaussian(gauss):
     sec = build_G(gauss, const_pert(0.2), K=32)
-    fit = inverse_decay_profile(sec)
+    fit = inverse_decay_profile(sec, gauss.decay)
     assert fit.sigma > 1.0
     assert fit.cond < 1e12
 
 
 def test_inverse_decay_consistent_across_K(tsexp):
     # banded-Toeplitz-like section: rate consistent from K=16 to K=32
-    fits = [inverse_decay_profile(build_G(tsexp, const_pert(0.2), K=K))
+    fits = [inverse_decay_profile(build_G(tsexp, const_pert(0.2), K=K),
+                                  tsexp.decay)
             for K in (16, 32)]
     s16, s32 = fits[0].sigma, fits[1].sigma
     assert s16 > 1.0 and s32 > 1.0
@@ -221,14 +223,14 @@ def test_inverse_decay_rejects_flat_profile(gauss):
     sec = build_G(gauss, const_pert(0.2), K=8)
     eye = dataclasses.replace(sec, entries=np.eye(sec.shape[0]))
     with pytest.raises(TPMatrixError):
-        inverse_decay_profile(eye)
+        inverse_decay_profile(eye, gauss.decay)
 
 
 def test_inverse_decay_condition_cutoff(gauss):
     sec = build_G(gauss, const_pert(0.2), K=8)
     sing = dataclasses.replace(sec, entries=np.ones(sec.shape))
     with pytest.raises(TPMatrixError):
-        inverse_decay_profile(sing)
+        inverse_decay_profile(sing, gauss.decay)
 
 
 def test_witness_interior_identity_all_windows(gauss, tsexp, sech, zak_zeros):
