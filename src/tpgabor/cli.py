@@ -9,7 +9,7 @@ other: diagnose and scan take all of them, bounds the frame-bound ones,
 the data commands only theirs.  The flags have no defaults of their own,
 so a setting that is absent, or that a subcommand does not take, keeps
 its ``PipelineOptions`` default.  A config file's JSON list is read as
-the comma-separated form of its flag (``"j_ladder": [8, 16, 32]``).
+the comma-separated form of its flag (``"alphas": ["1/2", "3/4"]``).
 
 All outputs are deterministic for a fixed configuration: iteration orders
 are fixed, randomized audits take an explicit seed, and scan workers are
@@ -88,6 +88,9 @@ def _parse_rational(text: str, name: str) -> Fraction:
         frac = as_fraction(text)
     except (LatticeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"cannot parse {name} = {text!r}: {e}")
+    if frac == 0 and "/" not in text and Fraction(text) > 0:
+        raise ConfigError(f"{name} = {text} rationalizes to 0 (denominators "
+                          "are capped at 10^6); give it as P/Q")
     if frac <= 0:
         raise ConfigError(f"{name} must be positive")
     if "/" not in str(text) and "." in str(text):
@@ -112,20 +115,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ladder(text: str) -> tuple:
-    return tuple(int(s) for s in text.split(","))
-
-
 def _options(args) -> PipelineOptions:
     """PipelineOptions from the flags given; absent flags keep its defaults."""
-    given = ((f.name, getattr(args, f.name.lower(), None))
+    given = ((f.name, getattr(args, f.name, None))
              for f in fields(PipelineOptions))
-    opts = PipelineOptions(**{k: v for k, v in given if v is not None})
     try:
-        opts.validate()
+        return PipelineOptions(**{k: v for k, v in given if v is not None})
     except ValueError as e:
         raise ConfigError(str(e))
-    return opts
 
 
 def _setup(args, candidate=False):
@@ -234,7 +231,10 @@ def _scan_point(job):
 def cmd_scan(args) -> int:
     w = _load_window(args.window)
     beta = _parse_rational(args.beta, "beta")
-    alphas = [s.strip() for s in args.alphas.split(",") if s.strip()]
+    # not required by the parser, so that a config file can give it
+    alphas = [s.strip() for s in (args.alphas or "").split(",") if s.strip()]
+    if not alphas:
+        raise ConfigError("--alphas needs at least one value")
     opts = _options(args)
     work = [(w, a, str(beta), _lattice(a, beta), opts) for a in alphas]
     jobs = min(args.jobs or 1, len(work))
@@ -257,7 +257,7 @@ def cmd_bounds(args) -> int:
     """Frame bounds from the transfer window, cross-checked by the ladder."""
     w, lat, opts = _setup(args)
     diag = frame_bounds(effective_window(w, lat), lat, x_grid_n=opts.x_grid_n,
-                        J_ladder=opts.J_ladder, tail_tol=opts.tail_tol)
+                        tail_tol=opts.tail_tol)
     trace = next((e for e in diag.evidence if e.get("kind") == "sigma_ladder"), None)
     payload = {"verdict": diag.verdict, "A_est": diag.lower_bound_est,
                "B_est": diag.upper_bound_est, "worst_x": diag.worst_x,
@@ -379,9 +379,8 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
             sp.add_argument("--beta", default="1")
         for f in fields(PipelineOptions):  # no default: see _options
             if settings is None or f.name in settings:
-                sp.add_argument("--" + f.name.lower().replace("_", "-"),
-                                type=_ladder if f.name == "J_ladder"
-                                else type(f.default))
+                sp.add_argument("--" + f.name.replace("_", "-"),
+                                type=type(f.default))
         sp.add_argument("--output", default=None)
         sp.add_argument("--config", default=None,
                         help="JSON config file; explicit flags win")
@@ -390,7 +389,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     add("diagnose", cmd_diagnose, "full certification pipeline")
     sp = add("scan", cmd_scan, "phase-diagram scan over alpha values",
              lattice=False)
-    sp.add_argument("--alphas", required=True,
+    sp.add_argument("--alphas",
                     help="comma-separated rationals, e.g. 1/8,2/8,3/8")
     sp.add_argument("--beta", default="1")
     sp.add_argument("--jobs", type=_positive_int,
@@ -398,7 +397,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                     help="worker processes, at least 1 and at most one per "
                          "alpha (default: $TPGABOR_JOBS, else 1)")
     add("bounds", cmd_bounds, "frame-bound estimate only",
-        ("x_grid_n", "J_ladder", "tail_tol"))
+        ("x_grid_n", "tail_tol"))
     sp = add("zak", cmd_zak, "Zak transform heatmap CSV", ("tail_tol",),
              lattice=False)
     sp.add_argument("--grid-n", type=int, default=128)

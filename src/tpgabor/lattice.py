@@ -84,11 +84,14 @@ def reduce(alpha, beta=1) -> RationalLattice:
 def choose_M(x0: float) -> int:
     """M placing the admissible interval [x0+M-1+eps, x0+M-eps] closest to 0.
 
-    Minimizes |x0 + M - 1/2| (the interval center), ties toward smaller M.
+    Minimizes |x0 + M - 1/2| (the interval center), ties toward smaller M,
+    which is always M = 0: for x0 in [0, 1), |x0 - 1/2| <= 1/2 <= |x0 + 1/2|
+    with equality only at x0 = 0, where the tie goes to M = 0 < 1, and
+    |x0 - 3/2| > 1/2.
     """
     if not 0.0 <= x0 < 1.0:
         raise LatticeError("x0 must lie in [0, 1)")
-    return min((-1, 0, 1), key=lambda M: (abs(x0 + M - 0.5), M))
+    return 0
 
 
 @dataclass(frozen=True)
@@ -128,13 +131,14 @@ class PerturbationSeq:
 
 
 def select_perturbation(lat: RationalLattice, x: float, x0: float,
-                        eps: float = None, M: int = None) -> PerturbationSeq:
+                        eps: float = None, M: int = 0) -> PerturbationSeq:
     """Select the p-periodic perturbation by admissible-interval membership.
 
     For each residue l = 0..p-1 takes the j with x + (p/q) j nearest the
     centre of [l + x0 + M - 1 + eps, l + x0 + M - eps] and sets
     delta_l = x + (p/q) j - l.
-    eps defaults to (1-alpha)/4, M to the choice centering the interval at 0.
+    eps defaults to (1-alpha)/4, M to 0, the :func:`choose_M` of every x0
+    in [0, 1), which centres the interval nearest 0.
     """
     lat.require_frame_candidate()
     alpha = lat.alpha_float
@@ -143,8 +147,6 @@ def select_perturbation(lat: RationalLattice, x: float, x0: float,
     if not 0.0 < eps < (1.0 - alpha) / 2.0:
         raise LatticeError(
             f"eps = {eps:g} outside (0, (1-alpha)/2) = (0, {(1 - alpha) / 2:g})")
-    if M is None:
-        M = choose_M(x0 % 1.0)
     p, q = lat.p, lat.q
     # the point of x + alpha*Z nearest the interval centre l + x0 + M - 1/2
     # is admissible (the half-width 1/2 - eps exceeds alpha/2).  With

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +24,17 @@ from .zibulski import injectivity_scan
 
 @dataclass(frozen=True)
 class PipelineOptions:
+    """Settings of :func:`diagnose`, checked when built (ValueError)."""
+
     x_grid_n: int = 64
     xi_grid_n: int = 128
-    J_ladder: Sequence[int] = (16, 32, 64)
     zak_grid_n: int = 256
     cert_x_grid_n: int = 16
     tail_tol: float = 1e-10
     zero_tol: float = 1e-10
     sigma_tol: float = 1e-8
 
-    def validate(self):
+    def __post_init__(self):
         if not all(0 < t < math.inf for t in
                    (self.tail_tol, self.zero_tol, self.sigma_tol)):
             raise ValueError("tolerances must be finite and positive")
@@ -44,10 +44,6 @@ class PipelineOptions:
             raise ValueError("xi_grid_n must be >= 128")
         if self.zak_grid_n < 64:
             raise ValueError("zak_grid_n must be >= 64")
-        if len(set(self.J_ladder)) < 3 or min(self.J_ladder) < 1:
-            raise ValueError("J_ladder needs >= 3 distinct positive entries")
-        if len(set(self.J_ladder)) < len(self.J_ladder):
-            raise ValueError("J_ladder entries must be distinct")
         if self.cert_x_grid_n < 1:
             raise ValueError("cert_x_grid_n must be >= 1")
 
@@ -81,10 +77,8 @@ def zak_anchor(g: TPWindow, opts: PipelineOptions) -> tuple:
 def diagnose(w: TPWindow, lat: RationalLattice,
              opts: PipelineOptions = PipelineOptions()) -> FrameDiagnosis:
     """Run the full certification pipeline for one reduced lattice."""
-    opts.validate()
     g = effective_window(w, lat)
-    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n,
-                        J_ladder=opts.J_ladder, tail_tol=opts.tail_tol)
+    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n, tail_tol=opts.tail_tol)
     if lat.alpha >= 1:
         return diag
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +28,9 @@ class PregramianError(RuntimeError):
 VERDICT_FRAME = "Frame"
 VERDICT_NOT_FRAME = "NotFrame"
 VERDICT_INCONCLUSIVE = "Inconclusive"
+
+# base sizes J of the ladder's truncated sections, scaled up in frame_bounds
+J_LADDER = (16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,6 @@ def upper_bound_cert(w: TPWindow, alpha: float = 1.0,
 
 
 def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
-                 J_ladder: Sequence[int] = (16, 32, 64),
                  tail_tol: float = 1e-10) -> FrameDiagnosis:
     """Frame bounds from the transfer window, cross-checked by a ladder.
 
@@ -131,7 +132,10 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     At an x equivalent to the worst x, with the section centred on the
     worst vector, the interior-restricted section bound runs over the
     truncation ladder; Frame needs A > 0 and its last step to change by
-    under 10%, else the verdict is Inconclusive.
+    under 10%, else the verdict is Inconclusive.  The rungs are
+    J = ceil(J0 max(1, (R + 4)/(16 alpha))) for J0 in ``J_LADDER``, R the
+    truncation radius of w at tail_tol, so that even the smallest keeps a
+    few fully supported columns.
 
     NotFrame comes from the density theorem alone: alpha*beta >= 1
     short-circuits to it (Balian-Low at equality for smooth windows), but
@@ -140,11 +144,6 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     """
     if x_grid_n < 16:
         raise PregramianError("x_grid_n must be at least 16")
-    J_ladder = tuple(sorted(J_ladder))
-    if len(set(J_ladder)) < 3 or J_ladder[0] < 1:
-        raise PregramianError("J_ladder needs 3 distinct positive entries")
-    if len(set(J_ladder)) < len(J_ladder):
-        raise PregramianError("J_ladder entries must be distinct")
     alpha = lat.alpha
 
     if alpha > 1 or (alpha == 1 and not frame_at_critical_density(w)):
@@ -157,10 +156,9 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
                        "detail": f"alpha*beta = {alpha} >= 1 admits no frame "
                                  "for this window class (no numerics run)"}])
 
-    # scale rungs so even the smallest keeps a few fully supported columns
     R = truncation_radius(w, tail_tol)
-    scale = max(1.0, (R + 4.0) / (lat.alpha_float * J_ladder[0]))
-    J_ladder = tuple(int(math.ceil(J * scale)) for J in J_ladder)
+    scale = max(1.0, (R + 4.0) / (lat.alpha_float * J_LADDER[0]))
+    rungs = [int(math.ceil(J * scale)) for J in J_LADDER]
 
     xs = np.arange(x_grid_n // 2 + 1 if w.even else x_grid_n) / (x_grid_n * lat.q)
     lo, hi, xi_lo = transfer_window(w, lat, xs, TRANSFER_XI_GRID_N, tail_tol)
@@ -170,11 +168,11 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     # the ladder is centred where the worst vector peaks: at worst_x, a
     # section with fewer than p interior columns can miss it (Gaussian 55/56)
     x_lad = worst_vector_x(w, lat, worst_x, float(xi_lo[worst]), tail_tol)
-    ladder = [lower_bound_at_x(w, lat, x_lad, J, tail_tol) for J in J_ladder]
+    ladder = [lower_bound_at_x(w, lat, x_lad, J, tail_tol) for J in rungs]
     rel = abs(ladder[-1] - ladder[-2]) / max(ladder[-1], 1e-300)
     evidence = [{"kind": "sigma_ladder",
                  "x": x_lad,
-                 "J_ladder": list(J_ladder),
+                 "J_ladder": rungs,
                  "A_trace": ladder,
                  "relative_change_last": rel},
                 {"kind": "transfer_window",

@@ -219,7 +219,7 @@ def test_criterion_10_inverse_decay(gauss, zak_zeros, capsys):
 
 
 def test_criterion_11_determinism(tmp_path, capsys):
-    ladder = ["--x-grid-n", "16", "--j-ladder", "8,16,32"]
+    ladder = ["--x-grid-n", "16"]
     fast = ladder + ["--cert-x-grid-n", "2"]
     cases = [
         ["diagnose", "--window", GAUSS, "--alpha", "2/3"] + fast,

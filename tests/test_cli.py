@@ -19,7 +19,7 @@ GAUSS = '{"kind": "gaussian", "gamma": 3.141592653589793}'
 OSE = '{"kind": "one_sided_exp", "gamma": 1.0}'
 
 # bounds takes only the frame-bound settings (LADDER), diagnose and scan FAST
-LADDER = ["--x-grid-n", "16", "--j-ladder", "8,16,32"]
+LADDER = ["--x-grid-n", "16"]
 FAST = LADDER + ["--cert-x-grid-n", "2"]
 
 
@@ -90,11 +90,13 @@ def test_scan_csv_schema(tmp_path):
     assert verdicts == ["Frame", "NotFrame", "NotFrame"]
 
 
-def test_scan_empty_grid(tmp_path):
-    code, text = run(["scan", "--window", GAUSS, "--alphas", ","] + FAST,
-                     tmp_path)
-    assert code == 0
-    assert len(text.strip().split("\n")) == 2  # header comment + column row
+def test_scan_empty_grid(tmp_path, capsys):
+    # a list with no value is bad input, not a header-only CSV
+    for alphas in (",", " , ,", ""):
+        code, text = run(["scan", "--window", GAUSS, "--alphas", alphas]
+                         + FAST, tmp_path)
+        assert code == 64 and text is None
+        assert "--alphas needs at least one value" in capsys.readouterr().err
 
 
 def test_scan_rejects_out_of_range(tmp_path):
@@ -493,15 +495,11 @@ def test_malformed_arguments_exit_64(tmp_path, monkeypatch):
     cfg_jobs.write_text(json.dumps({"jobs": 0}))
     cases = [
         ["diagnose", "--window", GAUSS, "--x-grid-n", "abc"],
-        ["diagnose", "--window", GAUSS, "--j-ladder", "a,b"],
         ["scan", "--window", GAUSS],                          # no --alphas
         ["diagnose", "--window", GAUSS, "--no-such-flag"],
         ["no-such-command"],
         ["bounds", "--window", GAUSS, "--config", str(cfg)],
         ["bounds", "--window", GAUSS, "--config", str(cfg_float)],
-        ["diagnose", "--window", GAUSS, "--j-ladder=0,16,32"],
-        ["diagnose", "--window", GAUSS, "--j-ladder=-5,16,32"],
-        ["diagnose", "--window", GAUSS, "--j-ladder=16,16,16"],
         ["diagnose", "--window", GAUSS, "--tail-tol=nan"],
         ["diagnose", "--window", GAUSS, "--tail-tol=inf"],
         ["diagnose", "--window", GAUSS, "--zero-tol=nan"],
@@ -528,13 +526,15 @@ def test_malformed_arguments_exit_64(tmp_path, monkeypatch):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("command", ["bounds", "diagnose"])
-def test_repeated_ladder_rung_exits_64(tmp_path, command):
-    # a repeated top rung compares the last rung with itself, so the
-    # ladder's 10% rule would pass whatever the ladder shows: bad input
-    code, text = run([command, "--window", '{"kind": "sech"}', "--alpha", "7/8",
-                      "--j-ladder", "1,2,3,3"], tmp_path)
+@pytest.mark.parametrize("command", ["bounds", "diagnose", "scan"])
+def test_j_ladder_flag_exits_64(tmp_path, command):
+    # the ladder's rungs are derived from the window and the lattice, not
+    # set: even the default rungs are an unknown flag
+    lattice = ["--alphas", "1/2"] if command == "scan" else ["--alpha", "1/2"]
+    code, text = run([command, "--window", GAUSS, "--j-ladder", "16,32,64"]
+                     + lattice, tmp_path)
     assert code == 64 and text is None
+    assert "J_ladder" not in {f.name for f in fields(PipelineOptions)}
 
 
 def test_option_flags_mirror_pipeline_options():
@@ -543,7 +543,7 @@ def test_option_flags_mirror_pipeline_options():
     # default in the CLI
     every = {f.name for f in fields(PipelineOptions)}
     takes = {"diagnose": every, "scan": every,
-             "bounds": {"x_grid_n", "J_ladder", "tail_tol"},
+             "bounds": {"x_grid_n", "tail_tol"},
              "zak": {"tail_tol"},
              "zzdet": {"xi_grid_n", "tail_tol", "zak_grid_n", "zero_tol"},
              "witness": {"tail_tol", "zak_grid_n", "zero_tol"},
@@ -553,7 +553,7 @@ def test_option_flags_mirror_pipeline_options():
     assert set(sub.choices) == set(takes)
     for name, sp in sub.choices.items():
         for f in fields(PipelineOptions):
-            flags = [a for a in sp._actions if a.dest == f.name.lower()]
+            flags = [a for a in sp._actions if a.dest == f.name]
             assert len(flags) == (f.name in takes[name])
             assert all(a.default is None for a in flags)
         lattice = {"zak": set(), "scan": {"beta"}}.get(name, {"alpha", "beta"})
@@ -565,7 +565,7 @@ def test_option_flags_mirror_pipeline_options():
 @pytest.mark.parametrize("argv", [
     ["zak", "--grid-n", "8", "--sigma-tol", "1e-8"],
     ["zak", "--grid-n", "8", "--alpha", "5/2"],
-    ["zak", "--grid-n", "8", "--j-ladder", "16,16,16"],
+    ["zak", "--grid-n", "8", "--x-grid-n", "16"],
     ["zzdet", "--alpha", "2/3", "--x-grid-n", "16"],
     ["witness", "--alpha", "2/3", "--sigma-tol", "1e-8"],
     ["audit", "--alpha", "1/2", "--tail-tol", "1e-10"],
@@ -583,7 +583,7 @@ def test_config_keys_a_command_does_not_read_are_dropped(tmp_path):
     # frame-bound settings, and takes its tail_tol
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"window": GAUSS, "alpha": "5/2",
-                               "j_ladder": "16,16,16", "tail_tol": 1e-12}))
+                               "x_grid_n": 4, "tail_tol": 1e-12}))
     code, text = run(["zak", "--config", str(cfg), "--grid-n", "8"], tmp_path)
     _, ref = run(["zak", "--window", GAUSS, "--grid-n", "8",
                   "--tail-tol", "1e-12"], tmp_path, "ref")
@@ -622,6 +622,18 @@ def test_decimal_alpha_warns(tmp_path, capsys):
     assert len([ln for ln in err.splitlines() if "rationalized" in ln]) == 1
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_decimal_below_denominator_cap_exits_64(tmp_path, capsys, name):
+    # 1e-7 is positive, but rationalizing with denominators <= 10^6 gives 0
+    code, text = run(["diagnose", "--window", GAUSS, f"--{name}", "1e-7"],
+                     tmp_path)
+    assert code == 64 and text is None
+    err = capsys.readouterr().err
+    assert (f"{name} = 1e-7 rationalizes to 0 (denominators are capped at "
+            "10^6); give it as P/Q") in err
+    assert "must be positive" not in err
+
+
 def test_window_from_file(tmp_path):
     spec = tmp_path / "win.json"
     spec.write_text(GAUSS)
@@ -635,8 +647,7 @@ def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     # "16" is a string: it must go through the --x-grid-n int type
     cfg.write_text(json.dumps({"window": GAUSS, "alpha": "1/2",
-                               "x_grid_n": "16", "cert_x_grid_n": 2,
-                               "j_ladder": "8,16,32"}))
+                               "x_grid_n": "16", "cert_x_grid_n": 2}))
     out = tmp_path / "o1"
     assert cli.main(["bounds", "--config", str(cfg),
                      "--output", str(out)]) == 0
@@ -649,20 +660,19 @@ def test_config_file_flags_win(tmp_path):
     assert json.loads(out2.read_text())["verdict"] == "NotFrame"
     # and the other way round: a config at 3/4 with --alpha 1/2 gives the
     # Gaussian's A at 1/2 (about 0.83), not the one at 3/4 (about 0.54)
-    cfg.write_text(json.dumps({"window": GAUSS, "alpha": "3/4",
-                               "j_ladder": "8,16,32"}))
+    cfg.write_text(json.dumps({"window": GAUSS, "alpha": "3/4"}))
     code, text = run(["bounds", "--config", str(cfg), "--alpha", "1/2",
                       "--x-grid-n", "16"], tmp_path, "o3")
     assert code == 0
     assert json.loads(text)["A_est"] > 0.8
 
 
-def test_config_ladder_list_string_and_flag_agree(tmp_path):
-    argv = ["bounds", "--window", GAUSS, "--alpha", "2/3", "--x-grid-n", "16"]
-    _, flag = run(argv + ["--j-ladder", "8,16,32"], tmp_path, "flag")
-    for ladder in ([8, 16, 32], "8,16,32"):
+def test_config_alphas_list_string_and_flag_agree(tmp_path):
+    argv = ["scan", "--window", GAUSS] + FAST
+    _, flag = run(argv + ["--alphas", "1/2,3/4"], tmp_path, "flag")
+    for alphas in (["1/2", "3/4"], "1/2,3/4"):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"j_ladder": ladder}))
+        cfg.write_text(json.dumps({"alphas": alphas}))
         code, text = run(argv + ["--config", str(cfg)], tmp_path)
         assert code == 0 and text == flag
 

@@ -16,7 +16,7 @@ from tpgabor.pipeline import PipelineOptions, diagnose
 from tpgabor.windows import (Dilated, Gaussian, HyperbolicSecant, OneSidedExp,
                              two_sided_exponential)
 
-OPTS = PipelineOptions(x_grid_n=16, cert_x_grid_n=2, J_ladder=(8, 16, 32))
+OPTS = PipelineOptions(x_grid_n=16, cert_x_grid_n=2)
 
 
 def assert_same_bounds(d1, d2, rtol):

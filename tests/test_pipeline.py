@@ -15,17 +15,18 @@ from tpgabor.windows import Dilated, Gaussian, window_from_config
 from tpgabor.zak import zak_on_half_line
 from tpgabor.zibulski import InjectivityCertificate, injectivity_scan
 
-FAST = PipelineOptions(x_grid_n=16, cert_x_grid_n=2, J_ladder=(8, 16, 32))
+FAST = PipelineOptions(x_grid_n=16, cert_x_grid_n=2)
 
 
 def test_options_validation():
+    # the checks run when the object is built, not when diagnose reads it
     with pytest.raises(ValueError):
-        PipelineOptions(tail_tol=0.0).validate()
+        PipelineOptions(tail_tol=0.0)
     with pytest.raises(ValueError):
-        PipelineOptions(x_grid_n=4).validate()
-    with pytest.raises(ValueError):
-        PipelineOptions(J_ladder=(16,)).validate()
-    PipelineOptions().validate()
+        PipelineOptions(x_grid_n=4)
+    with pytest.raises(ValueError, match="x_grid_n must be >= 16"):
+        PipelineOptions(x_grid_n=8)
+    PipelineOptions()
 
 
 def test_effective_window_applies_dilation(gauss):
@@ -75,7 +76,7 @@ def test_diagnose_beta_reduction_equivalence(gauss):
 def test_diagnose_witness_covers_whole_period():
     # p = 35 > 33: a witness on [-16, 16] sees 33 of the 35 residues, so
     # min_nu must be the minimum of |Zg(delta_r, 1/2)| over the whole period
-    opts = PipelineOptions(x_grid_n=16, cert_x_grid_n=1, J_ladder=(8, 16, 32))
+    opts = PipelineOptions(x_grid_n=16, cert_x_grid_n=1)
     g, lat = Gaussian(), reduce("35/36", 1)
     diag = diagnose(g, lat, opts)
     min_nu = next(e["min_nu"] for e in diag.evidence
@@ -126,7 +127,7 @@ def _count_perturbations(monkeypatch):
 
 @pytest.mark.parametrize("alpha", ["3/8", "2/3"])
 def test_diagnose_one_certificate_x_per_class(gauss, monkeypatch, alpha):
-    opts = PipelineOptions(x_grid_n=16, J_ladder=(8, 16, 32))
+    opts = PipelineOptions(x_grid_n=16)
     lat = reduce(alpha, 1)
     calls = _count_perturbations(monkeypatch)
     assert diagnose(gauss, lat, opts).verdict == "Frame"
