@@ -3,13 +3,17 @@
 The CLI parses, validates and formats; every number it prints comes from
 the library.  The lattice subcommands read their window, lattice and
 options through ``_setup``; the data commands add their perturbation
-through ``_perturbation``, anchored as in ``diagnose``.  Each subcommand
-takes a flag for every ``PipelineOptions`` setting it reads and for no
-other: diagnose and scan take all of them, bounds the frame-bound ones,
-the data commands only theirs.  The flags have no defaults of their own,
+through ``_perturbation``, anchored at the Zak zero as in ``diagnose``,
+which takes no setting.  Each subcommand takes a flag for every
+``PipelineOptions`` setting it reads and for no other: diagnose and scan
+take all four, bounds the frame-bound ones, zak, zzdet and witness the
+ones they read, and audit none.  The flags have no defaults of their own,
 so a setting that is absent, or that a subcommand does not take, keeps
 its ``PipelineOptions`` default.  A config file's JSON list is read as
-the comma-separated form of its flag (``"alphas": ["1/2", "3/4"]``).
+the comma-separated form of its flag (``"alphas": ["1/2", "3/4"]``).  A
+window spec is inline JSON, ``@file`` or a file path ending in ".json".
+A rational without "/" that is not an integer literal (``0.5``,
+``25e-2``) is rationalized with a warning on stderr.
 
 All outputs are deterministic for a fixed configuration: iteration orders
 are fixed, randomized audits take an explicit seed, and scan workers are
@@ -70,7 +74,7 @@ def _load_window(spec: str):
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
             text = fh.read()
-    elif spec.endswith(".json") and os.path.exists(spec):
+    elif spec.endswith(".json"):  # inline JSON cannot end in ".json"
         with open(spec) as fh:
             text = fh.read()
     try:
@@ -93,7 +97,7 @@ def _parse_rational(text: str, name: str) -> Fraction:
                           "are capped at 10^6); give it as P/Q")
     if frac <= 0:
         raise ConfigError(f"{name} must be positive")
-    if "/" not in str(text) and "." in str(text):
+    if "/" not in text and not text.strip().lstrip("+-").isdigit():
         print(f"warning: {name} = {text} rationalized to {frac} "
               "(theory covers rational alpha*beta only)", file=sys.stderr)
     return frac
@@ -157,7 +161,7 @@ def _perturbation(args, periods=None):
     if periods is not None and args.K < periods * lat.p:
         raise ConfigError(f"--K = {args.K} must be >= {periods * lat.p}")
     g = effective_window(w, lat)
-    return g, lat, opts, select_perturbation(lat, args.x, zak_anchor(g, opts)[0])
+    return g, lat, opts, select_perturbation(lat, args.x, zak_anchor(g)[0])
 
 
 def _emit(text, path):
@@ -402,14 +406,13 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
              lattice=False)
     sp.add_argument("--grid-n", type=int, default=128)
     sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV",
-             ("xi_grid_n", "tail_tol", "zak_grid_n", "zero_tol"))
+             ("xi_grid_n", "tail_tol"))
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp = add("witness", cmd_witness, "alternating witness vector",
-             ("tail_tol", "zak_grid_n", "zero_tol"))
+             ("tail_tol",))
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
-    sp = add("audit", cmd_audit, "randomized TP minor audit",
-             ("zak_grid_n", "zero_tol"))
+    sp = add("audit", cmd_audit, "randomized TP minor audit", ())
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
     sp.add_argument("--n-max", type=int, default=6)

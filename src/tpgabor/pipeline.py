@@ -4,7 +4,10 @@ Chains the module operations in the order the theory composes them:
 Zak-zero location, perturbation selection per x, the alternating
 surjectivity witness, the p x p injectivity certificate, and the
 pre-Gramian frame-bound estimate.  Produces one machine-readable diagnosis
-with every certificate attached.
+with every certificate attached.  :class:`PipelineOptions` holds the grids
+and the tail tolerance; the Zak zero is located at the defaults of
+:func:`tpgabor.zak.locate_zero`, and A(xi) counts as invertible above the
+constant :data:`tpgabor.zibulski.SIGMA_TOL`.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from .pregramian import (FrameDiagnosis, VERDICT_FRAME, VERDICT_INCONCLUSIVE,
 from .tpmatrix import TPMatrixError, alternating_witness
 from .windows import Dilated, TPWindow
 from .zak import ZakZeroNotFound, locate_zero
-from .zibulski import injectivity_scan
+from .zibulski import SIGMA_TOL, injectivity_scan
 
 
 @dataclass(frozen=True)
@@ -28,22 +31,16 @@ class PipelineOptions:
 
     x_grid_n: int = 64
     xi_grid_n: int = 128
-    zak_grid_n: int = 256
     cert_x_grid_n: int = 16
     tail_tol: float = 1e-10
-    zero_tol: float = 1e-10
-    sigma_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(0 < t < math.inf for t in
-                   (self.tail_tol, self.zero_tol, self.sigma_tol)):
-            raise ValueError("tolerances must be finite and positive")
+        if not 0 < self.tail_tol < math.inf:
+            raise ValueError("tail_tol must be finite and positive")
         if self.x_grid_n < 16:
             raise ValueError("x_grid_n must be >= 16")
         if self.xi_grid_n < 128:
             raise ValueError("xi_grid_n must be >= 128")
-        if self.zak_grid_n < 64:
-            raise ValueError("zak_grid_n must be >= 64")
         if self.cert_x_grid_n < 1:
             raise ValueError("cert_x_grid_n must be >= 1")
 
@@ -54,7 +51,7 @@ def effective_window(w: TPWindow, lat: RationalLattice) -> TPWindow:
     return w if b == 1.0 else Dilated(base=w, b=b)
 
 
-def zak_anchor(g: TPWindow, opts: PipelineOptions) -> tuple:
+def zak_anchor(g: TPWindow) -> tuple:
     """The anchor x0 of the admissible intervals and its ``zak_zero`` record.
 
     x0 is the located Zak zero; a window outside the unique-zero hypothesis
@@ -64,7 +61,7 @@ def zak_anchor(g: TPWindow, opts: PipelineOptions) -> tuple:
     on decides the perturbation at every x where two offsets tie.
     """
     try:
-        zz = locate_zero(g, grid_n=opts.zak_grid_n, zero_tol=opts.zero_tol)
+        zz = locate_zero(g)
     except ZakZeroNotFound as e:
         return float(e.argmin[0]) % 1.0, {
             "kind": "zak_zero", "x0": None, "min_abs": e.min_abs,
@@ -82,7 +79,7 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     if lat.alpha >= 1:
         return diag
 
-    x0, zak_zero = zak_anchor(g, opts)
+    x0, zak_zero = zak_anchor(g)
     evidence = [zak_zero]
 
     # surjectivity witness + injectivity certificate over a certificate grid.
@@ -95,6 +92,7 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     K = max(16, lat.p // 2)
     min_nu = float("inf")
     min_sigma = sigma_cert = float("inf")
+    all_invertible = True
     witness_fail = None
     for x in xs:
         pert = select_perturbation(lat, float(x), x0)
@@ -104,15 +102,15 @@ def diagnose(w: TPWindow, lat: RationalLattice,
         except TPMatrixError as e:
             witness_fail = str(e)
         cert = injectivity_scan(g, lat, pert, xi_grid_n=opts.xi_grid_n,
-                                sigma_tol=opts.sigma_tol, tol=opts.tail_tol)
+                                tol=opts.tail_tol)
         min_sigma = min(min_sigma, cert.min_sigma)
         sigma_cert = min(sigma_cert, cert.sigma_cert)
-    all_invertible = sigma_cert > opts.sigma_tol
+        all_invertible = all_invertible and cert.invertible
     evidence.append({"kind": "alternating_witness", "min_nu": min_nu,
                      "x_grid_n": opts.cert_x_grid_n,
                      "failure": witness_fail})
     evidence.append({"kind": "injectivity", "min_sigma": min_sigma,
-                     "sigma_cert": sigma_cert, "sigma_tol": opts.sigma_tol,
+                     "sigma_cert": sigma_cert, "sigma_tol": SIGMA_TOL,
                      "all_invertible": all_invertible,
                      "x_grid_n": opts.cert_x_grid_n})
 

@@ -31,6 +31,7 @@ class ZibulskiError(RuntimeError):
 
 
 TRANSFER_XI_GRID_N = 128
+SIGMA_TOL = 1e-8  # sigma_cert above it certifies A(xi) invertible
 _TRANSFER_CHUNK = 1 << 20  # complex entries per Zak bank, 16 MB
 
 
@@ -82,7 +83,7 @@ def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
 
 
 def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
-                     xi_grid_n: int = 128, sigma_tol: float = 1e-8,
+                     xi_grid_n: int = 128, sigma_tol: float = SIGMA_TOL,
                      tol: float = 1e-10) -> InjectivityCertificate:
     """Certify sigma_min(A(xi)) > sigma_tol for every xi, by cells of [0, 1/(2p)].
 

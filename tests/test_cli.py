@@ -216,7 +216,7 @@ def test_zzdet_columns_are_a_landscape(tmp_path, gauss):
     rows = np.array([[float(v) for v in ln.split(",")]
                      for ln in text.strip().split("\n")[2:]])
     lat = reduce("2/3", 1)
-    pert = select_perturbation(lat, 0.1, zak_anchor(gauss, PipelineOptions())[0])
+    pert = select_perturbation(lat, 0.1, zak_anchor(gauss)[0])
     xis = np.linspace(0.0, 0.5, 129)
     # A(1/p - xi) = conj A(xi): row i holds the values of row min(i, 128 - i)
     sig, dets = a_landscape(gauss, lat, pert, xis[:65], 1e-10)
@@ -245,7 +245,7 @@ def test_witness_without_zak_zero(tmp_path):
                       "--x", "0.25"], tmp_path)
     assert code == 0
     g = OneSidedExp(gamma=1.0)
-    x0, record = zak_anchor(g, PipelineOptions())
+    x0, record = zak_anchor(g)
     assert record["x0"] is None
     pert = select_perturbation(reduce("2/3", 1), 0.25, x0)
     nu_line = next(ln for ln in text.split("\n") if ln.startswith("# nu="))
@@ -277,7 +277,7 @@ def _per_row_zak(w, n):
 def _data_perturbation(w, alpha, x):
     lat = reduce(alpha, 1)
     g = effective_window(w, lat)
-    return g, lat, select_perturbation(lat, x, zak_anchor(g, PipelineOptions())[0])
+    return g, lat, select_perturbation(lat, x, zak_anchor(g)[0])
 
 
 def _per_row_zzdet(w, alpha, x, xi_grid_n):
@@ -429,13 +429,19 @@ def test_failed_certificate_exits_2(tmp_path, capfd, monkeypatch, argv, patch):
 
 
 def test_out_of_memory_exits_2(tmp_path, capfd, monkeypatch):
-    # options too large for the machine (diagnose --zak-grid-n 100000 asks
-    # for a 100000 x 50001 complex Zak bank) end in one error line and exit
-    # 2, and a scan records an Error row; the refusal is simulated here
+    # an allocation too large for the machine (zak --grid-n 100000 asks for
+    # a 100000 x 50001 complex Zak bank) ends in one error line and exit 2,
+    # and a scan records an Error row; the refusal is simulated here, in
+    # the Zak bank of zak and of diagnose's zero location
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
     monkeypatch.setattr(zakmod, "zak_bank", refuse)
+    monkeypatch.setattr(cli, "zak_bank", refuse)
+    code, text = run(["zak", "--window", GAUSS, "--grid-n", "8"], tmp_path)
+    err = capfd.readouterr().err
+    assert code == 2 and text is None
+    assert err == "error: MemoryError: Unable to allocate 74.5 GiB for an array\n"
     code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1/2"] + FAST,
                      tmp_path)
     err = capfd.readouterr().err
@@ -502,8 +508,6 @@ def test_malformed_arguments_exit_64(tmp_path, monkeypatch):
         ["bounds", "--window", GAUSS, "--config", str(cfg_float)],
         ["diagnose", "--window", GAUSS, "--tail-tol=nan"],
         ["diagnose", "--window", GAUSS, "--tail-tol=inf"],
-        ["diagnose", "--window", GAUSS, "--zero-tol=nan"],
-        ["diagnose", "--window", GAUSS, "--sigma-tol=inf"],
         ["audit", "--window", GAUSS, "--trials", "0"],
         ["audit", "--window", GAUSS, "--trials=-5"],
         ["audit", "--window", GAUSS, "--n-max", "0"],
@@ -537,17 +541,49 @@ def test_j_ladder_flag_exits_64(tmp_path, command):
     assert "J_ladder" not in {f.name for f in fields(PipelineOptions)}
 
 
+# each removed setting on every command that took it, at its old default
+_REMOVED = [(command, flag, value)
+            for command in ("diagnose", "scan", "zzdet", "witness", "audit")
+            for flag, value in (("zak-grid-n", "256"), ("zero-tol", "1e-10"),
+                                ("sigma-tol", "1e-8"))
+            if flag != "sigma-tol" or command in ("diagnose", "scan")]
+
+
+@pytest.mark.parametrize("command, flag, value", _REMOVED + [
+    ("diagnose", "zero-tol", "nan"), ("diagnose", "sigma-tol", "inf")])
+def test_removed_settings_exit_64(tmp_path, capsys, command, flag, value):
+    lattice = ["--alphas", "1/2"] if command == "scan" else ["--alpha", "1/2"]
+    code, text = run([command, "--window", GAUSS, f"--{flag}={value}"]
+                     + lattice, tmp_path)
+    assert code == 64 and text is None
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_removed_settings_in_config_are_dropped(tmp_path):
+    # a config key naming a removed setting is dropped like any key the
+    # command does not read: a huge sigma_tol would fail every certificate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"zak_grid_n": 64, "zero_tol": 1e-14,
+                               "sigma_tol": 10.0}))
+    argv = ["diagnose", "--window", GAUSS, "--alpha", "2/3"] + FAST
+    code, text = run(argv + ["--config", str(cfg)], tmp_path)
+    _, ref = run(argv, tmp_path, "ref")
+    assert code == 0 and text == ref
+
+
 def test_option_flags_mirror_pipeline_options():
     # one flag per PipelineOptions setting the command reads, none for the
     # others, and no default of its own, so a new field cannot get a second
     # default in the CLI
     every = {f.name for f in fields(PipelineOptions)}
+    assert every == {"x_grid_n", "xi_grid_n", "cert_x_grid_n", "tail_tol"}
     takes = {"diagnose": every, "scan": every,
              "bounds": {"x_grid_n", "tail_tol"},
              "zak": {"tail_tol"},
-             "zzdet": {"xi_grid_n", "tail_tol", "zak_grid_n", "zero_tol"},
-             "witness": {"tail_tol", "zak_grid_n", "zero_tol"},
-             "audit": {"zak_grid_n", "zero_tol"}}
+             "zzdet": {"xi_grid_n", "tail_tol"},
+             "witness": {"tail_tol"},
+             "audit": set()}
+    assert sum(map(len, takes.values())) == 14
     ap = cli.build_parser()
     sub = next(a for a in ap._actions if a.dest == "command")
     assert set(sub.choices) == set(takes)
@@ -563,14 +599,14 @@ def test_option_flags_mirror_pipeline_options():
 
 
 @pytest.mark.parametrize("argv", [
-    ["zak", "--grid-n", "8", "--sigma-tol", "1e-8"],
+    ["zak", "--grid-n", "8", "--xi-grid-n", "128"],
     ["zak", "--grid-n", "8", "--alpha", "5/2"],
     ["zak", "--grid-n", "8", "--x-grid-n", "16"],
     ["zzdet", "--alpha", "2/3", "--x-grid-n", "16"],
-    ["witness", "--alpha", "2/3", "--sigma-tol", "1e-8"],
+    ["witness", "--alpha", "2/3", "--xi-grid-n", "128"],
     ["audit", "--alpha", "1/2", "--tail-tol", "1e-10"],
     ["bounds", "--alpha", "1/2", "--cert-x-grid-n", "2"],
-    ["bounds", "--alpha", "1/2", "--sigma-tol", "1e-8"],
+    ["bounds", "--alpha", "1/2", "--xi-grid-n", "128"],
     ["scan", "--alphas", "1/2", "--alpha", "5/2"],
 ])
 def test_flags_a_command_does_not_read_exit_64(tmp_path, argv):
@@ -622,6 +658,23 @@ def test_decimal_alpha_warns(tmp_path, capsys):
     assert len([ln for ln in err.splitlines() if "rationalized" in ln]) == 1
 
 
+@pytest.mark.parametrize("text, warns", [
+    ("25e-2", 1), ("2.5e-1", 1), ("0.25", 1), ("1/4", 0), ("3", 0), (" 3 ", 0)])
+def test_rationalization_warns_unless_exact_literal(capsys, text, warns):
+    # an exponent-form decimal is rationalized like any other decimal
+    cli._parse_rational(text, "alpha")
+    assert capsys.readouterr().err.count("rationalized") == warns
+
+
+def test_scan_warns_for_each_decimal_alpha(tmp_path, capsys):
+    code, text = run(["scan", "--window", GAUSS, "--alphas", "25e-2,1/2"]
+                     + FAST, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 0 and text.count("Frame") == 2
+    assert err == ("warning: alpha = 25e-2 rationalized to 1/4 (theory "
+                   "covers rational alpha*beta only)\n")
+
+
 @pytest.mark.parametrize("name", ["alpha", "beta"])
 def test_decimal_below_denominator_cap_exits_64(tmp_path, capsys, name):
     # 1e-7 is positive, but rationalizing with denominators <= 10^6 gives 0
@@ -641,6 +694,16 @@ def test_window_from_file(tmp_path):
         code, text = run(["bounds", "--window", ref, "--alpha", "1/2"] + LADDER,
                          tmp_path)
         assert code == 0
+
+
+def test_missing_window_file_exits_64(tmp_path, capsys):
+    # a *.json spec is a path: a missing file is an OSError, not bad JSON
+    missing = tmp_path / "missing.json"
+    for ref in (f"@{missing}", str(missing)):
+        code, text = run(["bounds", "--window", ref, "--alpha", "1/2"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 64 and text is None
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_config_file_flags_win(tmp_path):

@@ -13,7 +13,7 @@ from tpgabor.pregramian import FrameDiagnosis
 from tpgabor.tpmatrix import alternating_witness
 from tpgabor.windows import Dilated, Gaussian, window_from_config
 from tpgabor.zak import zak_on_half_line
-from tpgabor.zibulski import InjectivityCertificate, injectivity_scan
+from tpgabor.zibulski import SIGMA_TOL, InjectivityCertificate, injectivity_scan
 
 FAST = PipelineOptions(x_grid_n=16, cert_x_grid_n=2)
 
@@ -49,11 +49,11 @@ def test_diagnose_attaches_all_certificates(gauss):
 
 def test_injectivity_evidence_carries_sigma_cert(sech):
     # sigma_cert is the minimum of the per-x certified bounds and decides
-    # all_invertible against sigma_tol
+    # all_invertible against the constant SIGMA_TOL
     diag = diagnose(sech, reduce("1/2", 1), FAST)
     rec = next(e for e in diag.evidence if e["kind"] == "injectivity")
-    assert rec["sigma_tol"] == FAST.sigma_tol
-    assert FAST.sigma_tol < rec["sigma_cert"] <= rec["min_sigma"]
+    assert rec["sigma_tol"] == SIGMA_TOL
+    assert SIGMA_TOL < rec["sigma_cert"] <= rec["min_sigma"]
     assert rec["all_invertible"] and diag.verdict == "Frame"
 
 
@@ -81,7 +81,7 @@ def test_diagnose_witness_covers_whole_period():
     diag = diagnose(g, lat, opts)
     min_nu = next(e["min_nu"] for e in diag.evidence
                   if e["kind"] == "alternating_witness")
-    x0, _ = zak_anchor(g, opts)
+    x0, _ = zak_anchor(g)
     pert = select_perturbation(lat, 0.0, x0)
     ref = min(abs(zak_on_half_line(g, d, opts.tail_tol)) for d in pert.deltas)
     assert abs(min_nu - ref) <= 10 * opts.tail_tol
@@ -89,7 +89,7 @@ def test_diagnose_witness_covers_whole_period():
 
 @pytest.fixture(scope="module")
 def anchored(gauss, sech, tsexp, ose):
-    return {name: (w, zak_anchor(w, PipelineOptions())[0])
+    return {name: (w, zak_anchor(w)[0])
             for name, w in (("gauss", gauss), ("sech", sech),
                             ("tsexp", tsexp), ("ose", ose))}
 

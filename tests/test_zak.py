@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 import tpgabor
 from tpgabor import zak as zakmod
-from tpgabor.pipeline import PipelineOptions, zak_anchor
+from tpgabor.pipeline import zak_anchor
 from tpgabor.windows import (Dilated, FiniteProduct, Gaussian,
                              HyperbolicSecant, OneSidedExp, truncation_radius,
                              two_sided_exponential)
@@ -402,6 +402,6 @@ def test_one_sided_exp_anchor_left_of_jump(gamma, lo, hi):
     # (mod 1) and stops on the side where the window's support begins.
     # That side decides select_perturbation at every tie x (at 2/3, the
     # x in Z/8), which the frozen witness references encode
-    x0, record = zak_anchor(OneSidedExp(gamma=gamma), PipelineOptions())
+    x0, record = zak_anchor(OneSidedExp(gamma=gamma))
     assert record["x0"] is None
     assert lo < x0 < hi

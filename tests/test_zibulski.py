@@ -168,7 +168,7 @@ def test_injectivity_half_grid_loses_nothing(request, name, alpha):
     # over the whole doubled grid of [0, 1/p], whose points include the nodes
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
-    pert = select_perturbation(lat, 0.1, zak_anchor(w, PipelineOptions())[0])
+    pert = select_perturbation(lat, 0.1, zak_anchor(w)[0])
     cert = injectivity_scan(w, lat, pert)
     xis = np.linspace(0.0, 1.0 / lat.p, 2 * 128 + 1)
     smin, _ = a_landscape(w, lat, pert, xis, 1e-10)
@@ -178,7 +178,7 @@ def test_injectivity_half_grid_loses_nothing(request, name, alpha):
 
 @pytest.fixture(scope="module")
 def anchors():
-    return {name: zak_anchor(WINDOWS[name], PipelineOptions())[0]
+    return {name: zak_anchor(WINDOWS[name])[0]
             for name in ("gauss", "sech", "tsexp", "ose")}
 
 
@@ -244,7 +244,7 @@ def test_injectivity_evaluations_within_grid(request, monkeypatch, name,
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
     pert = (const_pert(0.5) if x is None else
-            select_perturbation(lat, x, zak_anchor(w, PipelineOptions())[0]))
+            select_perturbation(lat, x, zak_anchor(w)[0]))
     counts = _count_svd_matrices(monkeypatch)
     cert = injectivity_scan(w, lat, pert, xi_grid_n=n)
     assert sum(counts) <= n + 1
@@ -256,7 +256,7 @@ def test_injectivity_bisection_on_sech(sech, monkeypatch):
     # split down to a few node steps; bisection evaluates 50 of the 129
     # nodes here
     lat = reduce("1/2", 1)
-    pert = select_perturbation(lat, 0.1, zak_anchor(sech, PipelineOptions())[0])
+    pert = select_perturbation(lat, 0.1, zak_anchor(sech)[0])
     counts = _count_svd_matrices(monkeypatch)
     cert = injectivity_scan(sech, lat, pert)
     assert sum(counts) <= 64
@@ -282,7 +282,7 @@ def test_injectivity_below_transfer_lower_bound(request, name, alpha):
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
     opts = PipelineOptions()
-    x0, _ = zak_anchor(w, opts)
+    x0, _ = zak_anchor(w)
     n = opts.cert_x_grid_n
     for x in np.arange(n // math.gcd(n, lat.q)) / n:
         pert = select_perturbation(lat, float(x), x0)
