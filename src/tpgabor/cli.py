@@ -6,10 +6,11 @@ options through ``_setup``; the data commands add their perturbation
 through ``_perturbation``, anchored at the Zak zero as in ``diagnose``,
 which takes no setting.  Each subcommand takes a flag for every
 ``PipelineOptions`` setting it reads and for no other: diagnose and scan
-take all four, bounds the frame-bound ones, zak, zzdet and witness the
-ones they read, and audit none.  The flags have no defaults of their own,
-so a setting that is absent, or that a subcommand does not take, keeps
-its ``PipelineOptions`` default.  A config file's JSON list is read as
+take all three, bounds ``--x-grid-n``, zzdet ``--xi-grid-n``, and zak,
+witness and audit none; every series is truncated at the fixed tail
+``TAIL_TOL``.  The flags have no defaults of their own, so a setting
+that is absent, or that a subcommand does not take, keeps its
+``PipelineOptions`` default.  A config file's JSON list is read as
 the comma-separated form of its flag (``"alphas": ["1/2", "3/4"]``).  A
 window spec is inline JSON, ``@file`` or a file path ending in ".json".
 A rational without "/" that is not an integer literal (``0.5``,
@@ -42,7 +43,7 @@ from .pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
 from .pregramian import PregramianError, frame_bounds
 from .tpmatrix import (MINOR_N_MAX, TPMatrixError, alternating_witness, build_G,
                        tp_minor_audit)
-from .windows import WindowError, window_from_config
+from .windows import TAIL_TOL, WindowError, window_from_config
 from .zak import ZakError, zak_bank
 from .zibulski import ZibulskiError, a_landscape
 
@@ -260,8 +261,7 @@ def cmd_scan(args) -> int:
 def cmd_bounds(args) -> int:
     """Frame bounds from the transfer window, cross-checked by the ladder."""
     w, lat, opts = _setup(args)
-    diag = frame_bounds(effective_window(w, lat), lat, x_grid_n=opts.x_grid_n,
-                        tail_tol=opts.tail_tol)
+    diag = frame_bounds(effective_window(w, lat), lat, x_grid_n=opts.x_grid_n)
     trace = next((e for e in diag.evidence if e.get("kind") == "sigma_ladder"), None)
     payload = {"verdict": diag.verdict, "A_est": diag.lower_bound_est,
                "B_est": diag.upper_bound_est, "worst_x": diag.worst_x,
@@ -284,7 +284,7 @@ def cmd_zak(args) -> int:
     if n < 8:
         raise ConfigError("zak grid_n must be >= 8")
     grid = np.arange(n) / n
-    half = zak_bank(w, 1.0, grid, grid[:n // 2 + 1], _options(args).tail_tol)
+    half = zak_bank(w, 1.0, grid, grid[:n // 2 + 1], TAIL_TOL)
     xs = _reprs(grid)
 
     def rows():
@@ -323,7 +323,7 @@ def cmd_zzdet(args) -> int:
     g, lat, opts, pert = _perturbation(args)
     N = opts.xi_grid_n
     xis = np.linspace(0.0, 1.0 / lat.p, N + 1)
-    sig, dets = a_landscape(g, lat, pert, xis[:N // 2 + 1], opts.tail_tol)
+    sig, dets = a_landscape(g, lat, pert, xis[:N // 2 + 1], TAIL_TOL)
     values = list(map(",".join, zip(_reprs(dets), _reprs(sig))))
     lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
     lines += [f"{xi},{values[min(i, N - i)]}" for i, xi in enumerate(_reprs(xis))]
@@ -334,8 +334,8 @@ def cmd_zzdet(args) -> int:
 # ----------------------------------------------------------------- witness
 
 def cmd_witness(args) -> int:
-    g, _, opts, pert = _perturbation(args, periods=0)
-    wit = alternating_witness(g, pert, K=args.K, tail_tol=opts.tail_tol)
+    g, _, _, pert = _perturbation(args, periods=0)
+    wit = alternating_witness(g, pert, K=args.K)
     lines = ["# schema=tpgabor-witness-v1", "k,u"]
     lines += map(",".join, zip(_reprs(wit.ks), _reprs(wit.u)))
     lines.append(f"# nu={wit.nu!r}")
@@ -400,16 +400,12 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                     default=os.environ.get("TPGABOR_JOBS"),
                     help="worker processes, at least 1 and at most one per "
                          "alpha (default: $TPGABOR_JOBS, else 1)")
-    add("bounds", cmd_bounds, "frame-bound estimate only",
-        ("x_grid_n", "tail_tol"))
-    sp = add("zak", cmd_zak, "Zak transform heatmap CSV", ("tail_tol",),
-             lattice=False)
+    add("bounds", cmd_bounds, "frame-bound estimate only", ("x_grid_n",))
+    sp = add("zak", cmd_zak, "Zak transform heatmap CSV", (), lattice=False)
     sp.add_argument("--grid-n", type=int, default=128)
-    sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV",
-             ("xi_grid_n", "tail_tol"))
+    sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV", ("xi_grid_n",))
     sp.add_argument("--x", type=_finite_float, default=0.0)
-    sp = add("witness", cmd_witness, "alternating witness vector",
-             ("tail_tol",))
+    sp = add("witness", cmd_witness, "alternating witness vector", ())
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
     sp = add("audit", cmd_audit, "randomized TP minor audit", ())

@@ -4,10 +4,11 @@ Chains the module operations in the order the theory composes them:
 Zak-zero location, perturbation selection per x, the alternating
 surjectivity witness, the p x p injectivity certificate, and the
 pre-Gramian frame-bound estimate.  Produces one machine-readable diagnosis
-with every certificate attached.  :class:`PipelineOptions` holds the grids
-and the tail tolerance; the Zak zero is located at the defaults of
-:func:`tpgabor.zak.locate_zero`, and A(xi) counts as invertible above the
-constant :data:`tpgabor.zibulski.SIGMA_TOL`.
+with every certificate attached.  :class:`PipelineOptions` holds the grids;
+every certificate truncates its series at the tail
+:data:`tpgabor.windows.TAIL_TOL`, the Zak zero is located at the defaults
+of :func:`tpgabor.zak.locate_zero`, and A(xi) counts as invertible above
+the constant :data:`tpgabor.zibulski.SIGMA_TOL`.
 """
 from __future__ import annotations
 
@@ -32,11 +33,8 @@ class PipelineOptions:
     x_grid_n: int = 64
     xi_grid_n: int = 128
     cert_x_grid_n: int = 16
-    tail_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.tail_tol < math.inf:
-            raise ValueError("tail_tol must be finite and positive")
         if self.x_grid_n < 16:
             raise ValueError("x_grid_n must be >= 16")
         if self.xi_grid_n < 128:
@@ -75,7 +73,7 @@ def diagnose(w: TPWindow, lat: RationalLattice,
              opts: PipelineOptions = PipelineOptions()) -> FrameDiagnosis:
     """Run the full certification pipeline for one reduced lattice."""
     g = effective_window(w, lat)
-    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n, tail_tol=opts.tail_tol)
+    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n)
     if lat.alpha >= 1:
         return diag
 
@@ -97,12 +95,11 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     for x in xs:
         pert = select_perturbation(lat, float(x), x0)
         try:
-            wit = alternating_witness(g, pert, K=K, tail_tol=opts.tail_tol)
+            wit = alternating_witness(g, pert, K=K)
             min_nu = min(min_nu, wit.nu)
         except TPMatrixError as e:
             witness_fail = str(e)
-        cert = injectivity_scan(g, lat, pert, xi_grid_n=opts.xi_grid_n,
-                                tol=opts.tail_tol)
+        cert = injectivity_scan(g, lat, pert, xi_grid_n=opts.xi_grid_n)
         min_sigma = min(min_sigma, cert.min_sigma)
         sigma_cert = min(sigma_cert, cert.sigma_cert)
         all_invertible = all_invertible and cert.invertible

@@ -17,7 +17,8 @@ import numpy as np
 
 from .lattice import RationalLattice
 from .tpmatrix import MatrixSection
-from .windows import TPWindow, frame_at_critical_density, truncation_radius
+from .windows import (TAIL_TOL, TPWindow, frame_at_critical_density,
+                      truncation_radius)
 from .zibulski import TRANSFER_XI_GRID_N, transfer_window, worst_vector_x
 
 
@@ -65,19 +66,19 @@ def _lattice_grid_section(w: TPWindow, lat: RationalLattice, x: float,
         strides=(p * step, -q * step), writeable=False).copy()
 
 
-def pregramian_section(w: TPWindow, lat: RationalLattice, x: float, J: int,
-                       tail_tol: float = 1e-10) -> MatrixSection:
+def pregramian_section(w: TPWindow, lat: RationalLattice, x: float,
+                       J: int) -> MatrixSection:
     """Rows j in [-J, J], columns k in [-K, K], K = ceil(alpha J) + radius.
 
     The entries come from the lattice-grid gather the ladder rungs use.
     """
-    R = truncation_radius(w, tail_tol)
+    R = truncation_radius(w, TAIL_TOL)
     K = -(-lat.p * J // lat.q) + R  # ceil(alpha J), exact
     return MatrixSection(entries=_lattice_grid_section(w, lat, x, J, K))
 
 
-def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
-                     tail_tol: float = 1e-10) -> float:
+def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float,
+                     J: int) -> float:
     """sigma_min^2 of the interior-column restriction of the section at x.
 
     The restriction drops one truncation radius of boundary columns so
@@ -89,30 +90,29 @@ def lower_bound_at_x(w: TPWindow, lat: RationalLattice, x: float, J: int,
     rounding error about n eps sigma_max^2 for n columns, far inside the
     ladder's 10% rule.
     """
-    R = truncation_radius(w, tail_tol)
+    R = truncation_radius(w, TAIL_TOL)
     # a column k has full row support within |j| <= J only for |k| <= alpha*J - R
     K_inner = max(lat.p * J // lat.q - R, 0)
     M = _lattice_grid_section(w, lat, x, J, K_inner)
     return max(float(np.linalg.eigvalsh(M.T @ M)[0]), 0.0)
 
 
-def upper_bound_cert(w: TPWindow, alpha: float = 1.0,
-                     tail_tol: float = 1e-10) -> float:
+def upper_bound_cert(w: TPWindow, alpha: float = 1.0) -> float:
     """Schur-test upper bound (sum_k sup_x |g(x+k)|)^2 / alpha, on 257 x.
 
     Row sums of P(x) are bounded by S = sum_k sup |g(.+k)|; column sums by
     S/alpha because the rows sample on the finer grid x + alpha*Z.
     """
-    R = truncation_radius(w, tail_tol)
+    R = truncation_radius(w, TAIL_TOL)
     xs = np.linspace(0.0, 1.0, 257)
     ks = np.arange(-R - 1, R + 2)
     vals = np.abs(w(xs[:, None] + ks[None, :].astype(float)))
-    S = float(np.sum(np.max(vals, axis=0)) + tail_tol)
+    S = float(np.sum(np.max(vals, axis=0)) + TAIL_TOL)
     return S * S / alpha
 
 
-def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
-                 tail_tol: float = 1e-10) -> FrameDiagnosis:
+def frame_bounds(w: TPWindow, lat: RationalLattice,
+                 x_grid_n: int = 64) -> FrameDiagnosis:
     """Frame bounds from the transfer window, cross-checked by a ladder.
 
     A and B are the min of sigma_min^2 and the max of sigma_max^2 of the
@@ -131,11 +131,16 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
 
     At an x equivalent to the worst x, with the section centred on the
     worst vector, the interior-restricted section bound runs over the
-    truncation ladder; Frame needs A > 0 and its last step to change by
+    truncation ladder; Frame needs the ladder's last step to change by
     under 10%, else the verdict is Inconclusive.  The rungs are
     J = ceil(J0 max(1, (R + 4)/(16 alpha))) for J0 in ``J_LADDER``, R the
-    truncation radius of w at tail_tol, so that even the smallest keeps a
-    few fully supported columns.
+    truncation radius of w at ``TAIL_TOL``, so that even the smallest keeps
+    a few fully supported columns.
+
+    Frame also needs A above 64 min(p, q) eps B, a floor 64 times the
+    absolute rounding of :func:`transfer_window`: an A at or below it is
+    noise, not a bound, and gets Inconclusive with a ``precision`` record
+    holding A and the floor.
 
     NotFrame comes from the density theorem alone: alpha*beta >= 1
     short-circuits to it (Balian-Low at equality for smooth windows), but
@@ -149,26 +154,25 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
     if alpha > 1 or (alpha == 1 and not frame_at_critical_density(w)):
         return FrameDiagnosis(
             verdict=VERDICT_NOT_FRAME, lower_bound_est=0.0,
-            upper_bound_est=upper_bound_cert(w, alpha=lat.alpha_float,
-                                             tail_tol=tail_tol),
+            upper_bound_est=upper_bound_cert(w, alpha=lat.alpha_float),
             worst_x=0.0,
             evidence=[{"kind": "density",
                        "detail": f"alpha*beta = {alpha} >= 1 admits no frame "
                                  "for this window class (no numerics run)"}])
 
-    R = truncation_radius(w, tail_tol)
+    R = truncation_radius(w, TAIL_TOL)
     scale = max(1.0, (R + 4.0) / (lat.alpha_float * J_LADDER[0]))
     rungs = [int(math.ceil(J * scale)) for J in J_LADDER]
 
     xs = np.arange(x_grid_n // 2 + 1 if w.even else x_grid_n) / (x_grid_n * lat.q)
-    lo, hi, xi_lo = transfer_window(w, lat, xs, TRANSFER_XI_GRID_N, tail_tol)
+    lo, hi, xi_lo = transfer_window(w, lat, xs, TRANSFER_XI_GRID_N)
     worst = int(np.argmin(lo))
     A_est, B_est, worst_x = float(lo[worst]), float(np.max(hi)), float(xs[worst])
 
     # the ladder is centred where the worst vector peaks: at worst_x, a
     # section with fewer than p interior columns can miss it (Gaussian 55/56)
-    x_lad = worst_vector_x(w, lat, worst_x, float(xi_lo[worst]), tail_tol)
-    ladder = [lower_bound_at_x(w, lat, x_lad, J, tail_tol) for J in rungs]
+    x_lad = worst_vector_x(w, lat, worst_x, float(xi_lo[worst]))
+    ladder = [lower_bound_at_x(w, lat, x_lad, J) for J in rungs]
     rel = abs(ladder[-1] - ladder[-2]) / max(ladder[-1], 1e-300)
     evidence = [{"kind": "sigma_ladder",
                  "x": x_lad,
@@ -181,13 +185,17 @@ def frame_bounds(w: TPWindow, lat: RationalLattice, x_grid_n: int = 64,
                  "A": A_est,
                  "B": B_est}]
 
+    floor = 64 * min(lat.p, lat.q) * np.finfo(float).eps * B_est
     if alpha == 1:
         # only the one-sided exponential gets here: report, stay Inconclusive
         verdict = VERDICT_INCONCLUSIVE
         evidence.append({"kind": "critical_density_exception",
                          "detail": "one-sided exponential at alpha*beta = 1; "
                                    "sigma trace bounded away from zero"})
-    elif A_est > 0 and rel < 0.10:
+    elif A_est <= floor:
+        verdict = VERDICT_INCONCLUSIVE
+        evidence.append({"kind": "precision", "A_est": A_est, "floor": floor})
+    elif rel < 0.10:
         verdict = VERDICT_FRAME
     else:
         verdict = VERDICT_INCONCLUSIVE

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PerturbationSeq
-from .windows import TPWindow, truncation_radius
+from .windows import TAIL_TOL, TPWindow, truncation_radius
 from .zak import zak_on_half_line
 
 
@@ -50,16 +50,27 @@ class MinorAuditReport:
     passed: bool
 
 
+_G_BLOCK = 1 << 17   # entries per window call in G_entries (1 MiB of float64)
+
+
 def G_entries(w: TPWindow, pert: PerturbationSeq, ks: np.ndarray,
               ls: np.ndarray) -> np.ndarray:
     """The block G_{kl} = g(k + delta_k - l), k in ks, l in ls (integers).
 
     The argument is the exact difference k - l plus delta_k (added in place:
     a second block-sized temporary costs more), so G_{k+p,l+p} = G_{kl} bitwise.
+    The window is evaluated on row blocks of at most ``_G_BLOCK`` entries,
+    so its temporaries stay small next to the result.
     """
-    arg = ks.astype(float)[:, None] - ls.astype(float)
-    arg += np.asarray(pert.deltas)[ks % pert.p][:, None]
-    return w(arg)
+    out = np.empty((ks.size, ls.size))
+    rows = max(1, _G_BLOCK // ls.size)
+    deltas = np.asarray(pert.deltas)
+    for i in range(0, ks.size, rows):
+        kb = ks[i:i + rows]
+        arg = kb.astype(float)[:, None] - ls.astype(float)
+        arg += deltas[kb % pert.p][:, None]
+        out[i:i + rows] = w(arg)
+    return out
 
 
 def build_G(w: TPWindow, pert: PerturbationSeq, K: int) -> MatrixSection:
@@ -70,31 +81,31 @@ def build_G(w: TPWindow, pert: PerturbationSeq, K: int) -> MatrixSection:
     return MatrixSection(entries=G_entries(w, pert, ks, ks))
 
 
-def alternating_witness(w: TPWindow, pert: PerturbationSeq, K: int,
-                        tail_tol: float = 1e-10) -> AlternatingWitness:
+def alternating_witness(w: TPWindow, pert: PerturbationSeq,
+                        K: int) -> AlternatingWitness:
     """Compute u_k = sum_l (-1)^l g(k + delta_k - l) for k in [-K, K].
 
     The columns of :func:`G_entries` run one truncation radius past [-K, K]
     so every u_k is interior.  Verifies u_k = (-1)^k Zg(delta_k, 1/2) to
-    10*tail_tol, taking the p Zak values in one bank call, and that u
-    alternates with min |u_k| at least 1000*tail_tol.
+    10 TAIL_TOL, taking the p Zak values in one bank call, and that u
+    alternates with min |u_k| at least 1000 TAIL_TOL.
     """
-    R = truncation_radius(w, tail_tol)
+    R = truncation_radius(w, TAIL_TOL)
     ks = np.arange(-K, K + 1)
     ls = np.arange(-K - R - 1, K + R + 2)
     u = G_entries(w, pert, ks, ls) @ ((-1.0) ** ls)
 
-    zvals = zak_on_half_line(w, np.asarray(pert.deltas), tail_tol)
+    zvals = zak_on_half_line(w, np.asarray(pert.deltas), TAIL_TOL)
     expected = ((-1.0) ** ks) * zvals[ks % pert.p]
     dev = np.max(np.abs(u - expected))
-    if dev >= 10.0 * tail_tol:
+    if dev >= 10.0 * TAIL_TOL:
         raise TPMatrixError(
             f"witness identity u_k = (-1)^k Zg(delta_k, 1/2) violated "
-            f"by {dev:.3g} (>= {10 * tail_tol:g})")
+            f"by {dev:.3g} (>= {10 * TAIL_TOL:g})")
 
     nu = float(np.min(np.abs(u)))
     sign_ok = bool(np.all(u[:-1] * u[1:] < 0.0))
-    if not sign_ok or nu < 1000.0 * tail_tol:
+    if not sign_ok or nu < 1000.0 * TAIL_TOL:
         raise TPMatrixError(
             f"witness degenerate: nu = {nu:.3g}, alternating = {sign_ok}; "
             "delta too close to the Zak zero or window hypothesis failure")

@@ -398,6 +398,11 @@ def _number(value, key: str) -> float:
     return x
 
 
+# certified truncation tail of every certificate's series (the Zak-zero
+# anchor sums its Zak values at 1e-12 instead)
+TAIL_TOL = 1e-10
+
+
 def truncation_radius(w: TPWindow, tol: float) -> int:
     """Radius R with sum_{|k|>R} envelope(x-k) < tol for every x in [0,1]."""
     return w.decay.tail_radius(tol)

@@ -104,8 +104,12 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
     bracket is 1e-14 wide or the step falls below an ulp (at most 100
     steps), and returns its latest iterate.  Raises
     :class:`ZakZeroNotFound` if no zero exists (window outside the
-    unique-zero hypothesis) and :class:`ZakError` if a second candidate
-    cell shows up.
+    unique-zero hypothesis) or the refined residual is not below
+    ``zero_tol``, and :class:`ZakError` if a second candidate cell shows up
+    away from the zero: a grid value below tol + 64 eps Zg(x, 0), the sum's
+    truncation tail plus its rounding floor.  A totally positive g is
+    nonnegative, so Zg(x, 0) = sum_k |g(x - k)| is the scan's xi = 0
+    column.
     """
     if grid_n < 64:
         raise ZakError("grid_n must be at least 64")
@@ -155,7 +159,7 @@ def locate_zero(w: TPWindow, grid_n: int = 256, zero_tol: float = 1e-10,
             min_abs=residual, argmin=(x0, 0.5))
 
     # uniqueness on the grid: any other near-zero cell is a hard error
-    ii, jj = np.nonzero(A < 10.0 * zero_tol)
+    ii, jj = np.nonzero(A < tol + 64 * np.finfo(float).eps * A[:, :1])
     dx = np.abs(ii / grid_n - x0)
     dx = np.minimum(dx, 1.0 - dx)
     if np.any(np.maximum(dx, 0.5 - jj / grid_n) > 1.5 / grid_n):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PerturbationSeq, RationalLattice
-from .windows import TPWindow
+from .windows import TAIL_TOL, TPWindow
 from .zak import _zak_samples, zak_bank
 
 
@@ -83,8 +83,8 @@ def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
 
 
 def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
-                     xi_grid_n: int = 128, sigma_tol: float = SIGMA_TOL,
-                     tol: float = 1e-10) -> InjectivityCertificate:
+                     xi_grid_n: int = 128, sigma_tol: float = SIGMA_TOL
+                     ) -> InjectivityCertificate:
     """Certify sigma_min(A(xi)) > sigma_tol for every xi, by cells of [0, 1/(2p)].
 
     g is real, so A(1/p - xi) = conj A(xi) has the same singular values, and
@@ -94,7 +94,7 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     D_rs = sum_k |k| |g(...)|, taken from the same window samples (drawn
     once per call).  sigma_min is then L-Lipschitz, and on a cell [a, b] it
     is at least (sigma_a + sigma_b - L (b - a)) / 2 - err, where err bounds
-    the truncation tail p tol (1 + (2K + 1) eps) and the rounding of the
+    the truncation tail p TAIL_TOL (1 + (2K + 1) eps) and the rounding of the
     phase sum and the SVD, (2K + 1 + p) eps ||S||_F with S_rs = sum_k |g(...)|
     (so ||A(xi)|| <= ||S||_F).
 
@@ -114,11 +114,11 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
         raise ZibulskiError("xi_grid_n must be at least 128")
     p, n = lat.p, xi_grid_n
     nodes = np.linspace(0.0, 1.0 / p, 2 * n + 1)[:n + 1]
-    k, gmat = samples = _zak_samples(w, p, _A_points(lat, pert), tol)
+    k, gmat = samples = _zak_samples(w, p, _A_points(lat, pert), TAIL_TOL)
     absg = np.abs(gmat)
     L = 2.0 * math.pi * p * float(np.linalg.norm(absg @ np.abs(k)))
     eps = np.finfo(float).eps
-    err = (p * tol * (1.0 + k.size * eps)
+    err = (p * TAIL_TOL * (1.0 + k.size * eps)
            + (k.size + p) * eps * float(np.linalg.norm(absg.sum(axis=1))))
 
     sig = np.full(n + 1, np.nan)
@@ -128,7 +128,7 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     i, j, new = np.array([0]), np.array([n]), np.array([0, n])
     sigma_cert = math.inf
     while i.size:
-        sig[new] = a_landscape(w, lat, pert, nodes[new], tol, samples)[0]
+        sig[new] = a_landscape(w, lat, pert, nodes[new], TAIL_TOL, samples)[0]
         bound = (sig[i] + sig[j] - L * (nodes[j] - nodes[i])) / 2.0 - err
         done = (bound >= np.minimum(sig[i], sig[j]) / 2.0) | (j - i == 1)
         if done.any():
@@ -152,13 +152,12 @@ def _transfer_stack(w: TPWindow, lat: RationalLattice, xs: np.ndarray,
 
 
 def transfer_window(w: TPWindow, lat: RationalLattice, xs,
-                    xi_grid_n: int = TRANSFER_XI_GRID_N,
-                    tol: float = 1e-10) -> tuple:
+                    xi_grid_n: int = TRANSFER_XI_GRID_N) -> tuple:
     """Exact spectral window of the pre-Gramian at every x in xs.
 
     B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi), a = 0..q-1, b = 0..p-1.
     Returns the arrays (min_xi sigma_min^2, max_xi sigma_max^2, argmin xi)
-    over xs, truncation-free up to tol, on xi_grid_n cells of [0, 1/p].
+    over xs, truncation-free up to TAIL_TOL, on xi_grid_n cells of [0, 1/p].
     For q < p, B has rank at most q < p, so the lower end is 0.
 
     g is real, so B(x, 1/p - xi) = conj B(x, xi) has the same singular
@@ -178,7 +177,7 @@ def transfer_window(w: TPWindow, lat: RationalLattice, xs,
     step = max(1, _TRANSFER_CHUNK // (q * p * len(xis)))
     lo, hi, xi_lo = np.zeros(len(xs)), np.empty(len(xs)), np.empty(len(xs))
     for i in range(0, len(xs), step):
-        B = _transfer_stack(w, lat, xs[i:i + step], xis, tol)
+        B = _transfer_stack(w, lat, xs[i:i + step], xis, TAIL_TOL)
         Bh = np.conj(np.swapaxes(B, -1, -2))
         ev = np.linalg.eigvalsh(Bh @ B if q >= p else B @ Bh)  # ascending
         hi[i:i + step] = np.max(ev[..., -1], axis=1)
@@ -188,8 +187,8 @@ def transfer_window(w: TPWindow, lat: RationalLattice, xs,
     return lo, hi, xi_lo
 
 
-def worst_vector_x(w: TPWindow, lat: RationalLattice, x: float, xi: float,
-                   tol: float = 1e-10) -> float:
+def worst_vector_x(w: TPWindow, lat: RationalLattice, x: float,
+                   xi: float) -> float:
     """The x' in x + Z/q that centres the least-stretched vector of P(x).
 
     With u the right singular vector of sigma_min(B(x, xi)), the vector
@@ -198,7 +197,7 @@ def worst_vector_x(w: TPWindow, lat: RationalLattice, x: float, xi: float,
     b = argmax_b |u_b|.  P(x) around column b and the row a nearest it is
     P(x') around (0, 0), x' = x + alpha a - b, with the same spectrum.
     """
-    B = _transfer_stack(w, lat, np.array([x]), np.array([xi]), tol)[0, 0]
+    B = _transfer_stack(w, lat, np.array([x]), np.array([xi]), TAIL_TOL)[0, 0]
     b = int(np.argmax(np.abs(np.linalg.svd(B)[2][-1])))
     a = round((b - x) / lat.alpha_float)
     return x + lat.alpha_float * a - b

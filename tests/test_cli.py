@@ -11,7 +11,7 @@ from tpgabor import zak as zakmod
 from tpgabor.lattice import reduce, select_perturbation
 from tpgabor.pipeline import PipelineOptions, effective_window, zak_anchor
 from tpgabor.tpmatrix import TPMatrixError, alternating_witness, build_G
-from tpgabor.windows import OneSidedExp, window_from_config
+from tpgabor.windows import TAIL_TOL, OneSidedExp, window_from_config
 from tpgabor.zak import ZakError, zak_bank
 from tpgabor.zibulski import ZibulskiError, a_landscape
 
@@ -264,7 +264,7 @@ def test_audit_passes(tmp_path):
 def _per_row_zak(w, n):
     # Zg(x, 1 - xi) = conj Zg(x, xi): block j > n/2 is block n - j conjugated
     grid = np.arange(n) / n
-    half = zak_bank(w, 1.0, grid, grid[:n // 2 + 1], PipelineOptions().tail_tol)
+    half = zak_bank(w, 1.0, grid, grid[:n // 2 + 1], TAIL_TOL)
     lines = ["# schema=tpgabor-zak-v1", "x,xi,re,im,abs"]
     for j, xi in enumerate(grid):
         zs = half[:, j] if j <= n // 2 else np.conj(half[:, n - j])
@@ -284,8 +284,7 @@ def _per_row_zzdet(w, alpha, x, xi_grid_n):
     g, lat, pert = _data_perturbation(w, alpha, x)
     xis = np.linspace(0.0, 1.0 / lat.p, xi_grid_n + 1)
     # A(1/p - xi) = conj A(xi): row i > N/2 repeats the values of row N - i
-    sig, dets = a_landscape(g, lat, pert, xis[:xi_grid_n // 2 + 1],
-                            PipelineOptions().tail_tol)
+    sig, dets = a_landscape(g, lat, pert, xis[:xi_grid_n // 2 + 1], TAIL_TOL)
     lines = ["# schema=tpgabor-zzdet-v1", "xi,abs_det,sigma_min"]
     for i, xi in enumerate(xis):
         m = min(i, xi_grid_n - i)
@@ -295,7 +294,7 @@ def _per_row_zzdet(w, alpha, x, xi_grid_n):
 
 def _per_row_witness(w, alpha, x, K):
     g, _, pert = _data_perturbation(w, alpha, x)
-    wit = alternating_witness(g, pert, K=K, tail_tol=PipelineOptions().tail_tol)
+    wit = alternating_witness(g, pert, K=K)
     lines = ["# schema=tpgabor-witness-v1", "k,u"]
     for k, u in zip(wit.ks, wit.u):
         lines.append(f"{int(k)},{float(u)!r}")
@@ -354,7 +353,7 @@ def test_mirrored_half_matches_full_period(tmp_path, name):
         rows = np.array([[float(v) for v in ln.split(",")]
                          for ln in text.splitlines()[2:]])
         grid = np.arange(n) / n
-        full = zak_bank(w, 1.0, grid, grid, PipelineOptions().tail_tol).T.ravel()
+        full = zak_bank(w, 1.0, grid, grid, TAIL_TOL).T.ravel()
         assert code == 0
         assert np.max(np.abs(rows[:, 2] - full.real)) <= 1e-14
         assert np.max(np.abs(rows[:, 3] - full.imag)) <= 1e-14
@@ -366,7 +365,7 @@ def test_mirrored_half_matches_full_period(tmp_path, name):
                          for ln in text.splitlines()[2:]])
         g, lat, pert = _data_perturbation(w, alpha, 0.375)
         xis = np.linspace(0.0, 1.0 / lat.p, N + 1)
-        sig, dets = a_landscape(g, lat, pert, xis, PipelineOptions().tail_tol)
+        sig, dets = a_landscape(g, lat, pert, xis, TAIL_TOL)
         assert code == 0 and np.array_equal(rows[:, 0], xis)
         np.testing.assert_allclose(rows[:, 1], dets, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rows[:, 2], sig, rtol=1e-12, atol=0)
@@ -406,8 +405,8 @@ def test_reprs_match_element_repr():
 
 
 @pytest.mark.parametrize("argv, patch", [
-    # a Zak value this close to 0 at tail_tol 1e-3: "witness degenerate"
-    (["witness", "--alpha", "2/3", "--tail-tol", "1e-3"], None),
+    (["witness", "--alpha", "2/3"],
+     ("alternating_witness", TPMatrixError("witness degenerate"))),
     (["zzdet", "--alpha", "2/3"],
      ("a_landscape", ZibulskiError("perturbation period does not match"))),
     (["zak", "--grid-n", "8"], ("zak_bank", ZakError("period p must be positive"))),
@@ -417,10 +416,9 @@ def test_reprs_match_element_repr():
 def test_failed_certificate_exits_2(tmp_path, capfd, monkeypatch, argv, patch):
     # valid input with no certificate is Inconclusive: one error line, no
     # traceback and no data file
-    if patch:
-        def fail(*args, **kwargs):
-            raise patch[1]
-        monkeypatch.setattr(cli, patch[0], fail)
+    def fail(*args, **kwargs):
+        raise patch[1]
+    monkeypatch.setattr(cli, patch[0], fail)
     code, text = run(argv + ["--window", '{"kind": "gaussian"}'], tmp_path)
     err = capfd.readouterr().err
     assert code == 2 and text is None
@@ -465,13 +463,11 @@ def test_bad_configs_exit_64(tmp_path, monkeypatch):
         ["diagnose", "--window", GAUSS, "--alpha", "0"],
         ["diagnose", "--window", GAUSS, "--alpha=-1/2"],
         ["diagnose", "--window", '{"kind": "haar"}', "--alpha", "1/2"],
-        ["diagnose", "--window", GAUSS, "--alpha", "1/2", "--tail-tol", "-1"],
         ["zzdet", "--window", GAUSS, "--alpha", "3/2"],       # not a candidate
         ["diagnose", "--window", '{"kind": "gaussian", "gamma": "abc"}'],
         ["diagnose", "--window", '{"kind": "dilated", "base": {"kind": "sech"}}'],
         ["diagnose", "--window", '{"kind": "finite_product", "nus": "ab"}'],
         ["diagnose", "--window", '{"kind": ["gaussian"]}'],
-        ["zak", "--window", GAUSS, "--tail-tol", "-1"],
     ]
     for argv in cases:
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 64
@@ -506,8 +502,6 @@ def test_malformed_arguments_exit_64(tmp_path, monkeypatch):
         ["no-such-command"],
         ["bounds", "--window", GAUSS, "--config", str(cfg)],
         ["bounds", "--window", GAUSS, "--config", str(cfg_float)],
-        ["diagnose", "--window", GAUSS, "--tail-tol=nan"],
-        ["diagnose", "--window", GAUSS, "--tail-tol=inf"],
         ["audit", "--window", GAUSS, "--trials", "0"],
         ["audit", "--window", GAUSS, "--trials=-5"],
         ["audit", "--window", GAUSS, "--n-max", "0"],
@@ -547,12 +541,17 @@ _REMOVED = [(command, flag, value)
             for flag, value in (("zak-grid-n", "256"), ("zero-tol", "1e-10"),
                                 ("sigma-tol", "1e-8"))
             if flag != "sigma-tol" or command in ("diagnose", "scan")]
+_REMOVED += [(command, "tail-tol", "1e-10") for command in
+             ("diagnose", "scan", "bounds", "zak", "zzdet", "witness")]
 
 
 @pytest.mark.parametrize("command, flag, value", _REMOVED + [
-    ("diagnose", "zero-tol", "nan"), ("diagnose", "sigma-tol", "inf")])
+    ("diagnose", "zero-tol", "nan"), ("diagnose", "sigma-tol", "inf"),
+    ("diagnose", "tail-tol", "-1"), ("zak", "tail-tol", "-1"),
+    ("diagnose", "tail-tol", "nan"), ("diagnose", "tail-tol", "inf")])
 def test_removed_settings_exit_64(tmp_path, capsys, command, flag, value):
-    lattice = ["--alphas", "1/2"] if command == "scan" else ["--alpha", "1/2"]
+    lattice = {"scan": ["--alphas", "1/2"], "zak": []}.get(
+        command, ["--alpha", "1/2"])
     code, text = run([command, "--window", GAUSS, f"--{flag}={value}"]
                      + lattice, tmp_path)
     assert code == 64 and text is None
@@ -564,7 +563,7 @@ def test_removed_settings_in_config_are_dropped(tmp_path):
     # command does not read: a huge sigma_tol would fail every certificate
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"zak_grid_n": 64, "zero_tol": 1e-14,
-                               "sigma_tol": 10.0}))
+                               "sigma_tol": 10.0, "tail_tol": 1e-3}))
     argv = ["diagnose", "--window", GAUSS, "--alpha", "2/3"] + FAST
     code, text = run(argv + ["--config", str(cfg)], tmp_path)
     _, ref = run(argv, tmp_path, "ref")
@@ -576,14 +575,14 @@ def test_option_flags_mirror_pipeline_options():
     # others, and no default of its own, so a new field cannot get a second
     # default in the CLI
     every = {f.name for f in fields(PipelineOptions)}
-    assert every == {"x_grid_n", "xi_grid_n", "cert_x_grid_n", "tail_tol"}
+    assert every == {"x_grid_n", "xi_grid_n", "cert_x_grid_n"}
     takes = {"diagnose": every, "scan": every,
-             "bounds": {"x_grid_n", "tail_tol"},
-             "zak": {"tail_tol"},
-             "zzdet": {"xi_grid_n", "tail_tol"},
-             "witness": {"tail_tol"},
+             "bounds": {"x_grid_n"},
+             "zak": set(),
+             "zzdet": {"xi_grid_n"},
+             "witness": set(),
              "audit": set()}
-    assert sum(map(len, takes.values())) == 14
+    assert sum(map(len, takes.values())) == 8
     ap = cli.build_parser()
     sub = next(a for a in ap._actions if a.dest == "command")
     assert set(sub.choices) == set(takes)
@@ -615,14 +614,13 @@ def test_flags_a_command_does_not_read_exit_64(tmp_path, argv):
 
 
 def test_config_keys_a_command_does_not_read_are_dropped(tmp_path):
-    # one config file serves every command: zak ignores the lattice and the
-    # frame-bound settings, and takes its tail_tol
+    # one config file serves every command: zak ignores the lattice, the
+    # frame-bound settings and the removed tail_tol
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"window": GAUSS, "alpha": "5/2",
-                               "x_grid_n": 4, "tail_tol": 1e-12}))
+                               "x_grid_n": 4, "tail_tol": 1e-3}))
     code, text = run(["zak", "--config", str(cfg), "--grid-n", "8"], tmp_path)
-    _, ref = run(["zak", "--window", GAUSS, "--grid-n", "8",
-                  "--tail-tol", "1e-12"], tmp_path, "ref")
+    _, ref = run(["zak", "--window", GAUSS, "--grid-n", "8"], tmp_path, "ref")
     assert code == 0 and text == ref
 
 
@@ -648,6 +646,35 @@ def test_narrow_gaussian_runs(tmp_path):
     code, text = run(["bounds", "--window", '{"kind": "gaussian", "gamma": 710}',
                       "--alpha", "1/2"] + LADDER, tmp_path)
     assert code in (0, 2) and json.loads(text)["A_est"] > 0
+
+
+@pytest.mark.parametrize("spec, alpha, beta", [
+    ('{"kind": "gaussian", "gamma": 0.1}', "1/2", "1"),
+    ('{"kind": "dilated", "b": 5, "base": {"kind": "gaussian"}}', "1/2", "1"),
+    ('{"kind": "gaussian"}', "5/2", "1/5"),
+    ('{"kind": "gaussian"}', "1/10", "5"),
+    ('{"kind": "sech"}', "1/8", "4"),
+    ('{"kind": "sech"}', "1/10", "5"),
+], ids=["gauss-gamma0.1", "gauss-b5", "gauss-5:2x1:5", "gauss-1:10x5",
+        "sech-1:8x4", "sech-1:10x5"])
+def test_wide_windows_meet_no_absolute_floor(tmp_path, capsys, spec, alpha,
+                                             beta):
+    # wide windows (and large beta, which dilates g) have |Zg| far below any
+    # fixed threshold over whole bands, and A below the transfer window's
+    # rounding: no false second Zak zero, no Frame on an A that is rounding
+    # noise, and bounds and diagnose agree
+    lattice = ["--window", spec, "--alpha", alpha, "--beta", beta]
+    codes, texts = zip(*(run([command] + lattice, tmp_path, command)
+                         for command in ("bounds", "diagnose")))
+    assert "ZakError" not in capsys.readouterr().err
+    assert codes[0] == codes[1]
+    bounds, diag = (json.loads(text) for text in texts)
+    lat = reduce(alpha, beta)
+    floor = 64 * min(lat.p, lat.q) * np.finfo(float).eps * bounds["B_est"]
+    assert bounds["verdict"] != "Frame" or bounds["A_est"] > floor
+    assert diag["verdict"] != "Frame" or diag["lower_bound_est"] > floor
+    if (alpha, beta) == ("5/2", "1/5"):
+        assert codes == (0, 0)
 
 
 def test_decimal_alpha_warns(tmp_path, capsys):

@@ -11,7 +11,7 @@ from tpgabor.pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
                               effective_window, zak_anchor)
 from tpgabor.pregramian import FrameDiagnosis
 from tpgabor.tpmatrix import alternating_witness
-from tpgabor.windows import Dilated, Gaussian, window_from_config
+from tpgabor.windows import TAIL_TOL, Dilated, Gaussian, window_from_config
 from tpgabor.zak import zak_on_half_line
 from tpgabor.zibulski import SIGMA_TOL, InjectivityCertificate, injectivity_scan
 
@@ -20,8 +20,6 @@ FAST = PipelineOptions(x_grid_n=16, cert_x_grid_n=2)
 
 def test_options_validation():
     # the checks run when the object is built, not when diagnose reads it
-    with pytest.raises(ValueError):
-        PipelineOptions(tail_tol=0.0)
     with pytest.raises(ValueError):
         PipelineOptions(x_grid_n=4)
     with pytest.raises(ValueError, match="x_grid_n must be >= 16"):
@@ -83,8 +81,8 @@ def test_diagnose_witness_covers_whole_period():
                   if e["kind"] == "alternating_witness")
     x0, _ = zak_anchor(g)
     pert = select_perturbation(lat, 0.0, x0)
-    ref = min(abs(zak_on_half_line(g, d, opts.tail_tol)) for d in pert.deltas)
-    assert abs(min_nu - ref) <= 10 * opts.tail_tol
+    ref = min(abs(zak_on_half_line(g, d, TAIL_TOL)) for d in pert.deltas)
+    assert abs(min_nu - ref) <= 10 * TAIL_TOL
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +103,12 @@ def test_certificates_one_over_q_periodic(anchored, name, q, p, x):
     d = math.gcd(p, q)
     lat = RationalLattice(p=p // d, q=q // d)
     w, x0 = anchored[name]
-    tol = 1e-10
     perts = [select_perturbation(lat, xx, x0) for xx in (x, x + 1.0 / lat.q)]
-    s0, s1 = (injectivity_scan(w, lat, pe, tol=tol).min_sigma for pe in perts)
+    s0, s1 = (injectivity_scan(w, lat, pe).min_sigma for pe in perts)
     assert abs(s0 - s1) <= 1e-12 * s0
     K = max(16, lat.p // 2)
-    n0, n1 = (alternating_witness(w, pe, K=K, tail_tol=tol).nu for pe in perts)
-    assert abs(n0 - n1) <= 10 * tol
+    n0, n1 = (alternating_witness(w, pe, K=K).nu for pe in perts)
+    assert abs(n0 - n1) <= 10 * TAIL_TOL
 
 
 def _count_perturbations(monkeypatch):

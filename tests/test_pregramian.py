@@ -246,7 +246,7 @@ def test_ladder_decay_never_gives_not_frame(gauss, ose, monkeypatch):
     # at density 1 the one-sided exponential keeps its exception record
     calls = []
 
-    def halving(w, lat, x, J, tail_tol=1e-10):
+    def halving(w, lat, x, J):
         calls.append(J)
         return 0.5 ** len(calls)
 

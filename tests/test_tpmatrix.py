@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from tpgabor import tpmatrix
 from tpgabor.lattice import PerturbationSeq, reduce
 from tpgabor.tpmatrix import (TPMatrixError, alternating_witness, build_G,
                               tp_minor_audit)
-from tpgabor.windows import OneSidedExp, truncation_radius
+from tpgabor.windows import TAIL_TOL, OneSidedExp, truncation_radius
 from tpgabor.zak import zak_on_half_line
 
 
@@ -238,7 +239,7 @@ def test_witness_interior_identity_all_windows(gauss, tsexp, sech, zak_zeros):
         x0 = zak_zeros[name].x0
         lat = reduce("3/4", 1)
         pert = make_pert(lat, 0.37, x0)
-        wit = alternating_witness(w, pert, K=12, tail_tol=1e-10)
+        wit = alternating_witness(w, pert, K=12)
         expected = np.array([(-1.0) ** k * zak_on_half_line(w, pert.delta(int(k)))
                              for k in wit.ks])
         assert np.max(np.abs(wit.u - expected)) < 1e-9
@@ -259,3 +260,37 @@ def test_G_entries_match_entrywise_reference(gauss, ose, gauss_pert_23):
         if w is gauss:
             u = alternating_witness(w, pert, K).u
             assert np.max(np.abs(u - ref @ ((-1.0) ** ls))) <= 1e-14
+
+
+@pytest.mark.parametrize("block", [1, 40, 3 * 41 + 5])
+def test_G_entries_row_blocks_match_one_call(gauss, tsexp, gauss_pert_23,
+                                             monkeypatch, block):
+    # G_entries evaluates the window on row blocks; one row per block (a
+    # block smaller than a row) or a ragged last block gives the entries of
+    # one call, and so the witness, bit for bit
+    _, pert = gauss_pert_23
+    ks, ls = np.arange(-20, 21), np.arange(-40, 1)
+    for w in (gauss, tsexp):
+        monkeypatch.setattr(tpmatrix, "_G_BLOCK", 1 << 30)
+        whole = tpmatrix.G_entries(w, pert, ks, ls)
+        u = alternating_witness(w, pert, K=20).u
+        monkeypatch.setattr(tpmatrix, "_G_BLOCK", block)
+        assert np.array_equal(tpmatrix.G_entries(w, pert, ks, ls), whole)
+        assert np.array_equal(alternating_witness(w, pert, K=20).u, u)
+
+
+def test_witness_peak_memory_stays_near_its_section(tsexp, zak_zeros):
+    # the window's temporaries live on row blocks, not on the whole section:
+    # evaluated in one call, the K = 512 section (1025 x 1078) peaked at
+    # five times its size
+    K = 512
+    pert = make_pert(reduce("2/3", 1), 0.25, zak_zeros["tsexp"].x0)
+    R = truncation_radius(tsexp, TAIL_TOL)
+    section = (2 * K + 1) * (2 * K + 2 * R + 3) * 8
+    tracemalloc.start()
+    try:
+        alternating_witness(tsexp, pert, K=K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * section

@@ -286,14 +286,16 @@ def test_half_line_rejects_imaginary_part(gauss, monkeypatch):
 @pytest.mark.parametrize("cell, raises", [
     ((0, 0), True), ((100, 56), True),   # xi = 56/256 mirrors 200/256
     ((129, 127), False),    # next to the zero's cell: the same candidate
-    ((40, 60), False),      # far, but above 10 * zero_tol
+    ((40, 60), False),      # far, but 2e-9 is above the floor
+    ((200, 30), False),     # far, and 5e-10 is above the floor too
 ])
 def test_locate_zero_rejects_second_candidate(gauss, monkeypatch, cell, raises):
-    # a second grid cell below 10 * zero_tol away from the located zero is a
-    # numeric failure; the zero sits at grid cell (128, 128) of the 256 x 129
-    # half grid xi = j/256, j <= 128
+    # a second grid cell away from the located zero, below the floor
+    # tol + 64 eps Zg(x, 0) of the anchor sum (about 1e-12 here), is a
+    # numeric failure; the zero sits at grid cell (128, 128) of the
+    # 256 x 129 half grid xi = j/256, j <= 128
     bank = zakmod.zak_bank
-    value = 5e-10 if raises or cell == (129, 127) else 2e-9
+    value = {(40, 60): 2e-9, (200, 30): 5e-10}.get(cell, 1e-13)
 
     def second_zero(*args, **kwargs):
         out = bank(*args, **kwargs)
