@@ -132,7 +132,8 @@ def frame_bounds(w: TPWindow, lat: RationalLattice,
     At an x equivalent to the worst x, with the section centred on the
     worst vector, the interior-restricted section bound runs over the
     truncation ladder; Frame needs the ladder's last step to change by
-    under 10%, else the verdict is Inconclusive.  The rungs are
+    under 10% of max(last rung, floor), floor as below, and the last rung
+    above the floor, else the verdict is Inconclusive.  The rungs are
     J = ceil(J0 max(1, (R + 4)/(16 alpha))) for J0 in ``J_LADDER``, R the
     truncation radius of w at ``TAIL_TOL``, so that even the smallest keeps
     a few fully supported columns.
@@ -173,7 +174,8 @@ def frame_bounds(w: TPWindow, lat: RationalLattice,
     # section with fewer than p interior columns can miss it (Gaussian 55/56)
     x_lad = worst_vector_x(w, lat, worst_x, float(xi_lo[worst]))
     ladder = [lower_bound_at_x(w, lat, x_lad, J) for J in rungs]
-    rel = abs(ladder[-1] - ladder[-2]) / max(ladder[-1], 1e-300)
+    floor = 64 * min(lat.p, lat.q) * np.finfo(float).eps * B_est
+    rel = abs(ladder[-1] - ladder[-2]) / max(ladder[-1], floor)
     evidence = [{"kind": "sigma_ladder",
                  "x": x_lad,
                  "J_ladder": rungs,
@@ -185,7 +187,6 @@ def frame_bounds(w: TPWindow, lat: RationalLattice,
                  "A": A_est,
                  "B": B_est}]
 
-    floor = 64 * min(lat.p, lat.q) * np.finfo(float).eps * B_est
     if alpha == 1:
         # only the one-sided exponential gets here: report, stay Inconclusive
         verdict = VERDICT_INCONCLUSIVE
@@ -195,7 +196,7 @@ def frame_bounds(w: TPWindow, lat: RationalLattice,
     elif A_est <= floor:
         verdict = VERDICT_INCONCLUSIVE
         evidence.append({"kind": "precision", "A_est": A_est, "floor": floor})
-    elif rel < 0.10:
+    elif rel < 0.10 and ladder[-1] > floor:
         verdict = VERDICT_FRAME
     else:
         verdict = VERDICT_INCONCLUSIVE

@@ -1,9 +1,11 @@
 """Finite sections of the perturbed pre-Gramian sub-matrix G and its checks.
 
-G_{kl} = g(k + delta_k - l) with a p-periodic perturbation delta.  The
-operations here verify, at truncation scale, two properties the theory
-asserts for the infinite matrix: total positivity of minors and the
-uniformly alternating image vector.
+G_{kl} = g(k + delta_k - l) with a p-periodic perturbation delta, so an
+entry depends only on (k mod p, k - l): every block is gathered from one
+window sample per residue class.  The operations here verify, at
+truncation scale, two properties the theory asserts for the infinite
+matrix: total positivity of minors and the uniformly alternating image
+vector.
 """
 from __future__ import annotations
 
@@ -50,26 +52,32 @@ class MinorAuditReport:
     passed: bool
 
 
-_G_BLOCK = 1 << 17   # entries per window call in G_entries (1 MiB of float64)
-
-
 def G_entries(w: TPWindow, pert: PerturbationSeq, ks: np.ndarray,
               ls: np.ndarray) -> np.ndarray:
-    """The block G_{kl} = g(k + delta_k - l), k in ks, l in ls (integers).
+    """The block G_{kl} = g(k + delta_k - l), k in ks, l in ls.
 
-    The argument is the exact difference k - l plus delta_k (added in place:
-    a second block-sized temporary costs more), so G_{k+p,l+p} = G_{kl} bitwise.
-    The window is evaluated on row blocks of at most ``_G_BLOCK`` entries,
-    so its temporaries stay small next to the result.
+    ks and ls must be consecutive increasing integers (an ``np.arange``);
+    any other input raises :class:`TPMatrixError`.  An entry depends only
+    on (k mod p, k - l), so the window is called once, on the p x
+    (ks.size + ls.size - 1) arguments m + delta_r, r = 0..p-1, with m the
+    exact differences from ks[-1] - ls[0] down to ks[0] - ls[-1]: each
+    argument is the double (k - l) + delta_k, so G_{k+p,l+p} = G_{kl}
+    bitwise.  The rows of one residue class are a strided view of that
+    class's sample row, rows -p apart and columns 1 apart (each row of G
+    is a contiguous run of the sample), copied once into the result.
     """
-    out = np.empty((ks.size, ls.size))
-    rows = max(1, _G_BLOCK // ls.size)
-    deltas = np.asarray(pert.deltas)
-    for i in range(0, ks.size, rows):
-        kb = ks[i:i + rows]
-        arg = kb.astype(float)[:, None] - ls.astype(float)
-        arg += deltas[kb % pert.p][:, None]
-        out[i:i + rows] = w(arg)
+    if not all(idx.ndim == 1 and idx.size and idx.dtype.kind == "i"
+               and np.all(np.diff(idx) == 1) for idx in (ks, ls)):
+        raise TPMatrixError("ks and ls must be consecutive increasing integers")
+    p, nk, nl = pert.p, ks.size, ls.size
+    m = np.arange(ks[-1] - ls[0], ks[0] - ls[-1] - 1, -1, dtype=float)
+    vals = w(m + np.asarray(pert.deltas)[:, None])
+    step = vals.strides[1]
+    out = np.empty((nk, nl))
+    for i in range(min(p, nk)):
+        out[i::p] = np.lib.stride_tricks.as_strided(
+            vals[(ks[0] + i) % p, nk - 1 - i:], shape=(len(range(i, nk, p)), nl),
+            strides=(-p * step, step), writeable=False)
     return out
 
 

@@ -261,6 +261,21 @@ def test_ladder_decay_never_gives_not_frame(gauss, ose, monkeypatch):
                   "sigma trace bounded away from zero"}
 
 
+def test_collapsed_ladder_is_not_stable(gauss, monkeypatch):
+    # a trace that ends in two zeros changes by 0 against max(last rung,
+    # floor), but a last rung at or below the floor gives no Frame, even
+    # with A_est (0.83 at Gaussian 1/2) far above the floor
+    trace = iter([0.5, 0.0, 0.0])
+    monkeypatch.setattr(pregramian, "lower_bound_at_x",
+                        lambda w, lat, x, J: next(trace))
+    diag = frame_bounds(gauss, reduce("1/2", 1), x_grid_n=16)
+    assert diag.verdict == "Inconclusive"
+    assert diag.lower_bound_est > 0.5
+    assert diag.evidence[0]["A_trace"] == [0.5, 0.0, 0.0]
+    assert diag.evidence[0]["relative_change_last"] == 0.0
+    assert all(e["kind"] != "precision" for e in diag.evidence)
+
+
 @pytest.mark.parametrize("w,alpha,beta", [
     # dilated once more by the beta reduction
     (Dilated(base=OneSidedExp(gamma=1.0), b=2.0), "1/2", "2"),

@@ -245,6 +245,12 @@ def test_witness_interior_identity_all_windows(gauss, tsexp, sech, zak_zeros):
         assert np.max(np.abs(wit.u - expected)) < 1e-9
 
 
+def _G_reference(w, pert, ks, ls):
+    """G_{kl} = g(float(k - l) + delta_k), one window call per entry."""
+    return np.array([[w(np.array([float(k - l) + pert.delta(int(k))]))[0]
+                      for l in ls] for k in ks])
+
+
 def test_G_entries_match_entrywise_reference(gauss, ose, gauss_pert_23):
     # build_G and the witness take G from G_entries; entry by entry it is
     # g((k - l) + delta_k), with delta_k looked up one index at a time
@@ -253,8 +259,7 @@ def test_G_entries_match_entrywise_reference(gauss, ose, gauss_pert_23):
     ks = np.arange(-K, K + 1)
     ls = np.arange(-K - R - 1, K + R + 2)
     for w in (gauss, ose):
-        ref = np.array([[w(np.array([float(k - l) + pert.delta(int(k))]))[0]
-                         for l in ls] for k in ks])
+        ref = _G_reference(w, pert, ks, ls)
         assert np.array_equal(build_G(w, pert, K).entries,
                               ref[:, R + 1:R + 2 + 2 * K])
         if w is gauss:
@@ -262,27 +267,74 @@ def test_G_entries_match_entrywise_reference(gauss, ose, gauss_pert_23):
             assert np.max(np.abs(u - ref @ ((-1.0) ** ls))) <= 1e-14
 
 
-@pytest.mark.parametrize("block", [1, 40, 3 * 41 + 5])
-def test_G_entries_row_blocks_match_one_call(gauss, tsexp, gauss_pert_23,
-                                             monkeypatch, block):
-    # G_entries evaluates the window on row blocks; one row per block (a
-    # block smaller than a row) or a ragged last block gives the entries of
-    # one call, and so the witness, bit for bit
-    _, pert = gauss_pert_23
-    ks, ls = np.arange(-20, 21), np.arange(-40, 1)
+@pytest.mark.parametrize("alpha, x", [("1/2", None), ("2/3", 0.1),
+                                      ("3/4", 0.37), ("7/8", 0.6)],
+                         ids=["p1-const", "p2", "p3", "p7"])
+def test_G_entries_residue_gather_matches_reference(gauss, tsexp, zak_zeros,
+                                                    alpha, x):
+    # the gather from one sample per residue class gives the entrywise
+    # reference bit for bit, at p = 1 (a constant perturbation), 2, 3 and 7,
+    # for ks starting below 0, fewer rows than p, and ls longer or shorter
+    # than ks; G_{k+p,l+p} = G_{kl} bitwise
+    lat = reduce(alpha, 1)
+    pert = (const_pert(0.3) if x is None
+            else make_pert(lat, x, zak_zeros["gauss"].x0))
+    assert pert.p == lat.p
+    p = pert.p
     for w in (gauss, tsexp):
-        monkeypatch.setattr(tpmatrix, "_G_BLOCK", 1 << 30)
-        whole = tpmatrix.G_entries(w, pert, ks, ls)
-        u = alternating_witness(w, pert, K=20).u
-        monkeypatch.setattr(tpmatrix, "_G_BLOCK", block)
-        assert np.array_equal(tpmatrix.G_entries(w, pert, ks, ls), whole)
-        assert np.array_equal(alternating_witness(w, pert, K=20).u, u)
+        for ks, ls in ((np.arange(-9, 6), np.arange(-14, 12)),
+                       (np.arange(-3, 12), np.arange(2, 6)),
+                       (np.arange(-5, -5 + max(p - 1, 1)), np.arange(-8, 3)),
+                       (np.arange(0, 1), np.arange(-3, 4))):
+            G = tpmatrix.G_entries(w, pert, ks, ls)
+            assert np.array_equal(G, _G_reference(w, pert, ks, ls))
+            if ks.size > p and ls.size > p:
+                shifted = tpmatrix.G_entries(w, pert, ks + p, ls + p)
+                assert np.array_equal(shifted, G)
+    # K = 0 at p = 2: one row, fewer than p
+    if p == 2:
+        pert = make_pert(lat, 0.25, zak_zeros["tsexp"].x0)
+        wit = alternating_witness(tsexp, pert, K=0)
+        R = truncation_radius(tsexp, TAIL_TOL)
+        ls = np.arange(-R - 1, R + 2)
+        ref = _G_reference(tsexp, pert, wit.ks, ls) @ ((-1.0) ** ls)
+        assert np.array_equal(wit.u, ref)
+
+
+@pytest.mark.parametrize("ks, ls", [
+    (np.array([0, 1, 3]), np.arange(3)),
+    (np.arange(3)[::-1], np.arange(3)),
+    (np.arange(3), np.arange(4.0)),
+    (np.arange(0), np.arange(3)),
+    (np.arange(4).reshape(2, 2), np.arange(3)),
+], ids=["gap", "decreasing", "float", "empty", "2d"])
+def test_G_entries_rejects_non_consecutive_indices(gauss, ks, ls):
+    with pytest.raises(TPMatrixError):
+        tpmatrix.G_entries(gauss, const_pert(0.3), ks, ls)
+    with pytest.raises(TPMatrixError):
+        tpmatrix.G_entries(gauss, const_pert(0.3), ls, ks)
+
+
+def test_G_entries_calls_window_once_per_residue_sample(tsexp, gauss_pert_23):
+    # one window call on p (ks.size + ls.size - 1) points, however large
+    # the block
+    _, pert = gauss_pert_23
+    calls = []
+
+    def counting(t):
+        calls.append(np.size(t))
+        return tsexp(t)
+
+    ks, ls = np.arange(-40, 41), np.arange(-60, 63)
+    G = tpmatrix.G_entries(counting, pert, ks, ls)
+    assert calls == [pert.p * (ks.size + ls.size - 1)]
+    assert np.array_equal(G, tpmatrix.G_entries(tsexp, pert, ks, ls))
 
 
 def test_witness_peak_memory_stays_near_its_section(tsexp, zak_zeros):
-    # the window's temporaries live on row blocks, not on the whole section:
-    # evaluated in one call, the K = 512 section (1025 x 1078) peaked at
-    # five times its size
+    # the window runs on one p x (nk + nl - 1) sample, not on the section,
+    # so the K = 512 section (1025 x 1078) is the only section-sized array:
+    # the traced peak is about 1.01 times it
     K = 512
     pert = make_pert(reduce("2/3", 1), 0.25, zak_zeros["tsexp"].x0)
     R = truncation_radius(tsexp, TAIL_TOL)
@@ -293,4 +345,4 @@ def test_witness_peak_memory_stays_near_its_section(tsexp, zak_zeros):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * section
+    assert peak < 1.1 * section
