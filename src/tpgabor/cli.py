@@ -1,20 +1,16 @@
 """Command-line interface: diagnose, scan, bounds, zak, zzdet, witness, audit.
 
 The CLI parses, validates and formats; every number it prints comes from
-the library.  The lattice subcommands read their window, lattice and
-options through ``_setup``; the data commands add their perturbation
-through ``_perturbation``, anchored at the Zak zero as in ``diagnose``,
-which takes no setting.  Each subcommand takes a flag for every
-``PipelineOptions`` setting it reads and for no other: diagnose and scan
-take all three, bounds ``--x-grid-n``, zzdet ``--xi-grid-n``, and zak,
-witness and audit none; every series is truncated at the fixed tail
-``TAIL_TOL``.  The flags have no defaults of their own, so a setting
-that is absent, or that a subcommand does not take, keeps its
-``PipelineOptions`` default.  A config file's JSON list is read as
-the comma-separated form of its flag (``"alphas": ["1/2", "3/4"]``).  A
-window spec is inline JSON, ``@file`` or a file path ending in ".json".
-A rational without "/" that is not an integer literal (``0.5``,
-``25e-2``) is rationalized with a warning on stderr.
+the library.  The lattice subcommands read their window and lattice
+through ``_setup``; the data commands add their perturbation through
+``_perturbation``, anchored at the Zak zero as in ``diagnose``, which
+takes no setting.  The certificate grids are library constants, so the
+one grid flag is zzdet's plot resolution ``--xi-grid-n``; every series is
+truncated at the fixed tail ``TAIL_TOL``.  A config file's JSON list is
+read as the comma-separated form of its flag (``"alphas": ["1/2",
+"3/4"]``).  A window spec is inline JSON, ``@file`` or a file path ending
+in ".json".  A rational without "/" that is not an integer literal
+(``0.5``, ``25e-2``) is rationalized with a warning on stderr.
 
 All outputs are deterministic for a fixed configuration: iteration orders
 are fixed, randomized audits take an explicit seed, and scan workers are
@@ -32,14 +28,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 
 from .lattice import LatticeError, as_fraction, reduce, select_perturbation
-from .pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
-                       effective_window, zak_anchor)
+from .pipeline import (diagnose, diagnosis_min_sigma, effective_window,
+                       zak_anchor)
 from .pregramian import PregramianError, frame_bounds
 from .tpmatrix import (MINOR_N_MAX, TPMatrixError, alternating_witness, build_G,
                        tp_minor_audit)
@@ -120,18 +115,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _options(args) -> PipelineOptions:
-    """PipelineOptions from the flags given; absent flags keep its defaults."""
-    given = ((f.name, getattr(args, f.name, None))
-             for f in fields(PipelineOptions))
-    try:
-        return PipelineOptions(**{k: v for k, v in given if v is not None})
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
 def _setup(args, candidate=False):
-    """(window, reduced lattice, options) of a lattice subcommand.
+    """(window, reduced lattice) of a lattice subcommand.
 
     alpha*beta must lie in (0, 2], and with ``candidate`` below 1 (the data
     commands plot certificates that exist only there).
@@ -140,7 +125,7 @@ def _setup(args, candidate=False):
     lat = _lattice(args.alpha, _parse_rational(args.beta, "beta"))
     if candidate:
         lat.require_frame_candidate()
-    return w, lat, _options(args)
+    return w, lat
 
 
 def _lattice(alpha: str, beta: Fraction):
@@ -153,16 +138,16 @@ def _lattice(alpha: str, beta: Fraction):
 
 
 def _perturbation(args, periods=None):
-    """(dilated window, lattice, options, perturbation at --x) of a data command.
+    """(dilated window, lattice, perturbation at --x) of a data command.
 
     With ``periods``, --K must be at least ``periods * p``; it is checked
     before any numerics.
     """
-    w, lat, opts = _setup(args, candidate=True)
+    w, lat = _setup(args, candidate=True)
     if periods is not None and args.K < periods * lat.p:
         raise ConfigError(f"--K = {args.K} must be >= {periods * lat.p}")
     g = effective_window(w, lat)
-    return g, lat, opts, select_perturbation(lat, args.x, zak_anchor(g)[0])
+    return g, lat, select_perturbation(lat, args.x, zak_anchor(g)[0])
 
 
 def _emit(text, path):
@@ -209,8 +194,8 @@ def _json_dump(obj) -> str:
 # ---------------------------------------------------------------- diagnose
 
 def cmd_diagnose(args) -> int:
-    w, lat, opts = _setup(args)
-    diag = diagnose(w, lat, opts)
+    w, lat = _setup(args)
+    diag = diagnose(w, lat)
     payload = diag.to_dict()
     payload["alpha"] = str(lat.alpha / lat.beta_original)
     payload["beta"] = str(lat.beta_original)
@@ -223,10 +208,10 @@ def cmd_diagnose(args) -> int:
 
 def _scan_point(job):
     """One CSV row: alpha, beta, alphabeta, verdict, A_est, min_sigma, error."""
-    w, alpha_str, beta_str, lat, opts = job
+    w, alpha_str, beta_str, lat = job
     row = [alpha_str, beta_str, str(lat.alpha)]
     try:
-        diag = diagnose(w, lat, opts)
+        diag = diagnose(w, lat)
     except _DOMAIN_ERRORS as e:  # record the failure, keep scanning
         return row + ["Error", None, None, f"{type(e).__name__}: {e}"]
     return row + [diag.verdict, diag.lower_bound_est,
@@ -240,8 +225,7 @@ def cmd_scan(args) -> int:
     alphas = [s.strip() for s in (args.alphas or "").split(",") if s.strip()]
     if not alphas:
         raise ConfigError("--alphas needs at least one value")
-    opts = _options(args)
-    work = [(w, a, str(beta), _lattice(a, beta), opts) for a in alphas]
+    work = [(w, a, str(beta), _lattice(a, beta)) for a in alphas]
     jobs = min(args.jobs or 1, len(work))
     if jobs > 1:
         from multiprocessing import Pool  # only a parallel scan needs it
@@ -260,8 +244,8 @@ def cmd_scan(args) -> int:
 
 def cmd_bounds(args) -> int:
     """Frame bounds from the transfer window, cross-checked by the ladder."""
-    w, lat, opts = _setup(args)
-    diag = frame_bounds(effective_window(w, lat), lat, x_grid_n=opts.x_grid_n)
+    w, lat = _setup(args)
+    diag = frame_bounds(effective_window(w, lat), lat)
     trace = next((e for e in diag.evidence if e.get("kind") == "sigma_ladder"), None)
     payload = {"verdict": diag.verdict, "A_est": diag.lower_bound_est,
                "B_est": diag.upper_bound_est, "worst_x": diag.worst_x,
@@ -320,8 +304,10 @@ def cmd_zzdet(args) -> int:
     g is real, so A(1/p - xi) = conj A(xi) has the same singular values:
     only xi <= 1/(2p) is evaluated, and row i prints row min(i, N - i).
     """
-    g, lat, opts, pert = _perturbation(args)
-    N = opts.xi_grid_n
+    N = args.xi_grid_n
+    if N < 128:
+        raise ConfigError("xi_grid_n must be >= 128")
+    g, lat, pert = _perturbation(args)
     xis = np.linspace(0.0, 1.0 / lat.p, N + 1)
     sig, dets = a_landscape(g, lat, pert, xis[:N // 2 + 1], TAIL_TOL)
     values = list(map(",".join, zip(_reprs(dets), _reprs(sig))))
@@ -334,7 +320,7 @@ def cmd_zzdet(args) -> int:
 # ----------------------------------------------------------------- witness
 
 def cmd_witness(args) -> int:
-    g, _, _, pert = _perturbation(args, periods=0)
+    g, _, pert = _perturbation(args, periods=0)
     wit = alternating_witness(g, pert, K=args.K)
     lines = ["# schema=tpgabor-witness-v1", "k,u"]
     lines += map(",".join, zip(_reprs(wit.ks), _reprs(wit.u)))
@@ -351,7 +337,7 @@ def cmd_audit(args) -> int:
         raise ConfigError(f"--trials = {args.trials} must be >= 1")
     if not 1 <= args.n_max <= MINOR_N_MAX:
         raise ConfigError(f"--n-max = {args.n_max} must be in 1..{MINOR_N_MAX}")
-    g, _, _, pert = _perturbation(args, periods=1)
+    g, _, pert = _perturbation(args, periods=1)
     sec = build_G(g, pert, K=args.K)
     rep = tp_minor_audit(sec, n_max=args.n_max, trials=args.trials,
                          seed=args.seed)
@@ -372,19 +358,14 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                     "over rational lattices")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help, settings=None, lattice=True):
-        """A subcommand with a flag per PipelineOptions field in ``settings``
-        (every field if None), and --alpha/--beta if ``lattice``."""
+    def add(name, func, help, lattice=True):
+        """A subcommand, with --alpha/--beta if ``lattice``."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=func)
         sp.add_argument("--window", help="window JSON spec, @file, or *.json path")
         if lattice:
             sp.add_argument("--alpha", default="1/2")
             sp.add_argument("--beta", default="1")
-        for f in fields(PipelineOptions):  # no default: see _options
-            if settings is None or f.name in settings:
-                sp.add_argument("--" + f.name.replace("_", "-"),
-                                type=type(f.default))
         sp.add_argument("--output", default=None)
         sp.add_argument("--config", default=None,
                         help="JSON config file; explicit flags win")
@@ -400,15 +381,16 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                     default=os.environ.get("TPGABOR_JOBS"),
                     help="worker processes, at least 1 and at most one per "
                          "alpha (default: $TPGABOR_JOBS, else 1)")
-    add("bounds", cmd_bounds, "frame-bound estimate only", ("x_grid_n",))
-    sp = add("zak", cmd_zak, "Zak transform heatmap CSV", (), lattice=False)
+    add("bounds", cmd_bounds, "frame-bound estimate only")
+    sp = add("zak", cmd_zak, "Zak transform heatmap CSV", lattice=False)
     sp.add_argument("--grid-n", type=int, default=128)
-    sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV", ("xi_grid_n",))
+    sp = add("zzdet", cmd_zzdet, "injectivity landscape CSV")
     sp.add_argument("--x", type=_finite_float, default=0.0)
-    sp = add("witness", cmd_witness, "alternating witness vector", ())
+    sp.add_argument("--xi-grid-n", type=int, default=128)
+    sp = add("witness", cmd_witness, "alternating witness vector")
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
-    sp = add("audit", cmd_audit, "randomized TP minor audit", ())
+    sp = add("audit", cmd_audit, "randomized TP minor audit")
     sp.add_argument("--x", type=_finite_float, default=0.0)
     sp.add_argument("--K", type=int, default=16)
     sp.add_argument("--n-max", type=int, default=6)

@@ -4,8 +4,9 @@ Chains the module operations in the order the theory composes them:
 Zak-zero location, perturbation selection per x, the alternating
 surjectivity witness, the p x p injectivity certificate, and the
 pre-Gramian frame-bound estimate.  Produces one machine-readable diagnosis
-with every certificate attached.  :class:`PipelineOptions` holds the grids;
-every certificate truncates its series at the tail
+with every certificate attached.  It reads no setting: the witness and
+the injectivity scan run on the :data:`CERT_X_GRID_N` x points, every
+certificate truncates its series at the tail
 :data:`tpgabor.windows.TAIL_TOL`, the Zak zero is located at the defaults
 of :func:`tpgabor.zak.locate_zero`, and A(xi) counts as invertible above
 the constant :data:`tpgabor.zibulski.SIGMA_TOL`.
@@ -13,7 +14,6 @@ the constant :data:`tpgabor.zibulski.SIGMA_TOL`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +26,8 @@ from .zak import ZakZeroNotFound, locate_zero
 from .zibulski import SIGMA_TOL, injectivity_scan
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    """Settings of :func:`diagnose`, checked when built (ValueError)."""
-
-    x_grid_n: int = 64
-    xi_grid_n: int = 128
-    cert_x_grid_n: int = 16
-
-    def __post_init__(self):
-        if self.x_grid_n < 16:
-            raise ValueError("x_grid_n must be >= 16")
-        if self.xi_grid_n < 128:
-            raise ValueError("xi_grid_n must be >= 128")
-        if self.cert_x_grid_n < 1:
-            raise ValueError("cert_x_grid_n must be >= 1")
+# points i/n of [0, 1) at which the witness and the injectivity scan run
+CERT_X_GRID_N = 16
 
 
 def effective_window(w: TPWindow, lat: RationalLattice) -> TPWindow:
@@ -69,11 +56,10 @@ def zak_anchor(g: TPWindow) -> tuple:
                    "residual": zz.residual}
 
 
-def diagnose(w: TPWindow, lat: RationalLattice,
-             opts: PipelineOptions = PipelineOptions()) -> FrameDiagnosis:
+def diagnose(w: TPWindow, lat: RationalLattice) -> FrameDiagnosis:
     """Run the full certification pipeline for one reduced lattice."""
     g = effective_window(w, lat)
-    diag = frame_bounds(g, lat, x_grid_n=opts.x_grid_n)
+    diag = frame_bounds(g, lat)
     if lat.alpha >= 1:
         return diag
 
@@ -85,7 +71,7 @@ def diagnose(w: TPWindow, lat: RationalLattice,
     # relabelling of the one at x), and grid points i/n, j/n share a class
     # iff n/gcd(n, q) divides i - j: one point per class is evaluated.
     # [-K, K] holds every residue mod p, so the witness sees a whole period.
-    n = opts.cert_x_grid_n
+    n = CERT_X_GRID_N
     xs = np.arange(n // math.gcd(n, lat.q)) / n
     K = max(16, lat.p // 2)
     min_nu = float("inf")
@@ -99,17 +85,17 @@ def diagnose(w: TPWindow, lat: RationalLattice,
             min_nu = min(min_nu, wit.nu)
         except TPMatrixError as e:
             witness_fail = str(e)
-        cert = injectivity_scan(g, lat, pert, xi_grid_n=opts.xi_grid_n)
+        cert = injectivity_scan(g, lat, pert)
         min_sigma = min(min_sigma, cert.min_sigma)
         sigma_cert = min(sigma_cert, cert.sigma_cert)
         all_invertible = all_invertible and cert.invertible
     evidence.append({"kind": "alternating_witness", "min_nu": min_nu,
-                     "x_grid_n": opts.cert_x_grid_n,
+                     "x_grid_n": n,
                      "failure": witness_fail})
     evidence.append({"kind": "injectivity", "min_sigma": min_sigma,
                      "sigma_cert": sigma_cert, "sigma_tol": SIGMA_TOL,
                      "all_invertible": all_invertible,
-                     "x_grid_n": opts.cert_x_grid_n})
+                     "x_grid_n": n})
 
     verdict = diag.verdict
     if verdict == VERDICT_FRAME and not (all_invertible and witness_fail is None):

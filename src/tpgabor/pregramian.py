@@ -32,6 +32,8 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 # base sizes J of the ladder's truncated sections, scaled up in frame_bounds
 J_LADDER = (16, 32, 64)
+# points j/(X_GRID_N q) of one x-period at which the transfer window is taken
+X_GRID_N = 64
 
 
 @dataclass(frozen=True)
@@ -111,17 +113,16 @@ def upper_bound_cert(w: TPWindow, alpha: float = 1.0) -> float:
     return S * S / alpha
 
 
-def frame_bounds(w: TPWindow, lat: RationalLattice,
-                 x_grid_n: int = 64) -> FrameDiagnosis:
+def frame_bounds(w: TPWindow, lat: RationalLattice) -> FrameDiagnosis:
     """Frame bounds from the transfer window, cross-checked by a ladder.
 
     A and B are the min of sigma_min^2 and the max of sigma_max^2 of the
-    q x p transfer window over the x_grid_n points j/(x_grid_n q) of one
+    q x p transfer window over the X_GRID_N points j/(X_GRID_N q) of one
     x-period [0, 1/q) (the spectrum of P(x) is 1/q-periodic, as
     alpha*Z + Z = Z/q).
 
-    An even window (``w.even``) needs only j <= x_grid_n/2, one point per
-    mirror pair j <-> x_grid_n - j, so its worst_x lies in [0, 1/(2q)].
+    An even window (``w.even``) needs only j <= X_GRID_N/2, one point per
+    mirror pair j <-> X_GRID_N - j, so its worst_x lies in [0, 1/(2q)].
     Z_p g(-y, xi) = conj Z_p g(y, xi) for even real g, so B(-x, xi)_{a'b'}
     with a' = (q - a) mod q, b' = (p - b) mod p is conj B(x, xi)_{ab} up to
     unimodular phases: alpha a' - b' = -(alpha a - b), up to +-p when
@@ -148,8 +149,6 @@ def frame_bounds(w: TPWindow, lat: RationalLattice,
     a one-sided exponential at alpha*beta = 1 is a frame (Janssen 1996)
     and gets the full estimate with an Inconclusive verdict.
     """
-    if x_grid_n < 16:
-        raise PregramianError("x_grid_n must be at least 16")
     alpha = lat.alpha
 
     if alpha > 1 or (alpha == 1 and not frame_at_critical_density(w)):
@@ -165,7 +164,7 @@ def frame_bounds(w: TPWindow, lat: RationalLattice,
     scale = max(1.0, (R + 4.0) / (lat.alpha_float * J_LADDER[0]))
     rungs = [int(math.ceil(J * scale)) for J in J_LADDER]
 
-    xs = np.arange(x_grid_n // 2 + 1 if w.even else x_grid_n) / (x_grid_n * lat.q)
+    xs = np.arange(X_GRID_N // 2 + 1 if w.even else X_GRID_N) / (X_GRID_N * lat.q)
     lo, hi, xi_lo = transfer_window(w, lat, xs, TRANSFER_XI_GRID_N)
     worst = int(np.argmin(lo))
     A_est, B_est, worst_x = float(lo[worst]), float(np.max(hi)), float(xs[worst])
@@ -182,7 +181,7 @@ def frame_bounds(w: TPWindow, lat: RationalLattice,
                  "A_trace": ladder,
                  "relative_change_last": rel},
                 {"kind": "transfer_window",
-                 "x_grid_n": x_grid_n,
+                 "x_grid_n": X_GRID_N,
                  "xi_grid_n": TRANSFER_XI_GRID_N,
                  "A": A_est,
                  "B": B_est}]

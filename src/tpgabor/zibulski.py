@@ -9,7 +9,7 @@ also records min sigma_min over the nodes it evaluated (a diagnostic).
 B(x, xi)_{ab} = Z_p g(x + alpha a - b, xi) is the q x p transfer matrix
 whose spectral window gives the pre-Gramian frame-bound estimates.  Both
 are banks of :func:`tpgabor.zak.zak_bank` values.  The injectivity scan
-takes singular values of A(xi) by SVD, as its sigma_tol sits near the
+takes singular values of A(xi) by SVD, as SIGMA_TOL sits near the
 sqrt(eps) floor that a Gram matrix would impose; the transfer window takes
 the extreme eigenvalues of the Gram matrix of B(x, xi), since the frame
 bounds are squared singular values anyway.
@@ -31,6 +31,7 @@ class ZibulskiError(RuntimeError):
 
 
 TRANSFER_XI_GRID_N = 128
+INJECTIVITY_XI_GRID_N = 128  # node budget of the injectivity scan's cover
 SIGMA_TOL = 1e-8  # sigma_cert above it certifies A(xi) invertible
 _TRANSFER_CHUNK = 1 << 20  # complex entries per Zak bank, 16 MB
 
@@ -40,7 +41,7 @@ class InjectivityCertificate:
     """What :func:`injectivity_scan` certifies about A(xi) at one x.
 
     ``sigma_cert`` is a certified lower bound on sigma_min(A(xi)) over all
-    xi (0 is the trivial one), ``invertible`` is sigma_cert > sigma_tol, and
+    xi (0 is the trivial one), ``invertible`` is sigma_cert > SIGMA_TOL, and
     ``min_sigma`` is the least sigma_min(A(xi)) at the evaluated nodes.
     """
 
@@ -82,10 +83,9 @@ def a_landscape(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     return s[:, -1], np.prod(s, axis=1)
 
 
-def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
-                     xi_grid_n: int = 128, sigma_tol: float = SIGMA_TOL
+def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq
                      ) -> InjectivityCertificate:
-    """Certify sigma_min(A(xi)) > sigma_tol for every xi, by cells of [0, 1/(2p)].
+    """Certify sigma_min(A(xi)) > SIGMA_TOL for all xi, by cells of [0, 1/(2p)].
 
     g is real, so A(1/p - xi) = conj A(xi) has the same singular values, and
     A is 1/p-periodic: a cover of [0, 1/(2p)] covers every xi.
@@ -98,21 +98,20 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
     phase sum and the SVD, (2K + 1 + p) eps ||S||_F with S_rs = sum_k |g(...)|
     (so ||A(xi)|| <= ||S||_F).
 
-    The cell ends are nodes of linspace(0, 1/p, 2 xi_grid_n + 1), the
-    half of [0, 1/p] up to 1/(2p), and the first cell is the whole half.  A
-    cell is accepted once its bound is at least half its smaller end value;
-    otherwise it is bisected at its middle node, and each round's midpoints
-    share one SVD call.  A one-step cell that still fails contributes
-    max(bound, 0).  So every node is evaluated at most once, at most
-    xi_grid_n + 1 in all, in at most ceil(log2(xi_grid_n)) + 1 rounds.
+    The cell ends are nodes of linspace(0, 1/p, 2 n + 1) with
+    n = ``INJECTIVITY_XI_GRID_N``, the half of [0, 1/p] up to 1/(2p), and
+    the first cell is the whole half.  A cell is accepted once its bound is
+    at least half its smaller end value; otherwise it is bisected at its
+    middle node, and each round's midpoints share one SVD call.  A one-step
+    cell that still fails contributes max(bound, 0).  So every node is
+    evaluated at most once, at most n + 1 in all, in at most
+    ceil(log2(n)) + 1 rounds.
 
     ``sigma_cert`` is the minimum of the cell bounds, a lower bound on
     sigma_min(A(xi)) over all xi, and ``invertible`` is
-    sigma_cert > sigma_tol.  ``min_sigma`` is taken over the evaluated nodes.
+    sigma_cert > SIGMA_TOL.  ``min_sigma`` is taken over the evaluated nodes.
     """
-    if xi_grid_n < 128:
-        raise ZibulskiError("xi_grid_n must be at least 128")
-    p, n = lat.p, xi_grid_n
+    p, n = lat.p, INJECTIVITY_XI_GRID_N
     nodes = np.linspace(0.0, 1.0 / p, 2 * n + 1)[:n + 1]
     k, gmat = samples = _zak_samples(w, p, _A_points(lat, pert), TAIL_TOL)
     absg = np.abs(gmat)
@@ -139,7 +138,7 @@ def injectivity_scan(w: TPWindow, lat: RationalLattice, pert: PerturbationSeq,
 
     return InjectivityCertificate(min_sigma=float(np.nanmin(sig)),
                                   sigma_cert=sigma_cert,
-                                  invertible=sigma_cert > sigma_tol)
+                                  invertible=sigma_cert > SIGMA_TOL)
 
 
 def _transfer_stack(w: TPWindow, lat: RationalLattice, xs: np.ndarray,

@@ -1,14 +1,16 @@
-"""Reference checks that only the tests use.
+"""Reference checks and windows that only the tests use.
 
 ``fourier_factorization_check`` is the oracle of acceptance criterion 8
 (the Fourier factorization of G through A(xi)), and
 ``inverse_decay_profile`` the one of criterion 10 (off-diagonal decay of
-the inverse of a G section).  Both read the package; neither is read by it.
+the inverse of a G section).  ``Hermite1`` and ``Shifted`` are windows
+outside the theorem, the negative controls of the certificates.  All of
+them read the package; none is read by it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,3 +131,38 @@ def inverse_decay_profile(section: MatrixSection, decay: DecayProfile,
     slope, intercept = np.polyfit(X, Y, 1)
     return InverseDecayFit(C=float(np.exp(intercept)), sigma=float(-slope),
                            cond=cond, distances=ds, profile=prof)
+
+
+@dataclass(frozen=True)
+class Hermite1(TPWindow):
+    """h1(t) = t exp(-pi t^2), odd and so not totally positive.
+
+    Its Gabor family is no frame at alpha*beta = (n-1)/n (Lyubarskii &
+    Nes, Appl. Comput. Harmon. Anal. 34, 2013) and is one at
+    alpha*beta < 1/2 (Groechenig & Lyubarskii, C. R. Acad. Sci. Paris 344,
+    2007).  |t| exp(-pi t^2) <= 25 exp(-2 pi |t|), the maximum of the
+    ratio being about 24.8 at |t| = 1.14.
+    """
+
+    decay: DecayProfile = DecayProfile(C=25.0, rate=2.0 * math.pi)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return t * np.exp(-math.pi * t * t)
+
+
+@dataclass(frozen=True)
+class Shifted(TPWindow):
+    """The translate g(t - s); |g(t - s)| <= C e^{rate |s|} e^{-rate |t|}."""
+
+    base: TPWindow
+    s: float
+    decay: DecayProfile = field(init=False)
+
+    def __post_init__(self):
+        d = self.base.decay
+        object.__setattr__(self, "decay", DecayProfile(
+            C=d.C * math.exp(d.rate * abs(self.s)), rate=d.rate))
+
+    def __call__(self, t):
+        return self.base(np.asarray(t, dtype=float) - self.s)

@@ -15,7 +15,7 @@ from conftest import make_pert
 from oracles import fourier_factorization_check, inverse_decay_profile
 from tpgabor import cli
 from tpgabor.lattice import RationalLattice, reduce
-from tpgabor.pipeline import PipelineOptions, diagnose
+from tpgabor.pipeline import diagnose
 from tpgabor.pregramian import frame_bounds
 from tpgabor.tpmatrix import alternating_witness, build_G, tp_minor_audit
 from tpgabor.windows import window_from_config
@@ -219,12 +219,10 @@ def test_criterion_10_inverse_decay(gauss, zak_zeros, capsys):
 
 
 def test_criterion_11_determinism(tmp_path, capsys):
-    ladder = ["--x-grid-n", "16"]
-    fast = ladder + ["--cert-x-grid-n", "2"]
     cases = [
-        ["diagnose", "--window", GAUSS, "--alpha", "2/3"] + fast,
-        ["scan", "--window", GAUSS, "--alphas", "1/2,1"] + fast,
-        ["bounds", "--window", TSEXP, "--alpha", "1/2"] + ladder,
+        ["diagnose", "--window", GAUSS, "--alpha", "2/3"],
+        ["scan", "--window", GAUSS, "--alphas", "1/2,1"],
+        ["bounds", "--window", TSEXP, "--alpha", "1/2"],
         ["zak", "--window", SECH, "--grid-n", "32"],
         ["zzdet", "--window", GAUSS, "--alpha", "2/3"],
         ["witness", "--window", GAUSS, "--alpha", "2/3", "--x", "0.1"],

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from tpgabor import cli, tpmatrix
 from tpgabor import zak as zakmod
 from tpgabor.lattice import reduce, select_perturbation
-from tpgabor.pipeline import PipelineOptions, effective_window, zak_anchor
+from tpgabor.pipeline import effective_window, zak_anchor
 from tpgabor.tpmatrix import TPMatrixError, alternating_witness, build_G
 from tpgabor.windows import TAIL_TOL, OneSidedExp, window_from_config
 from tpgabor.zak import ZakError, zak_bank
@@ -17,10 +16,6 @@ from tpgabor.zibulski import ZibulskiError, a_landscape
 
 GAUSS = '{"kind": "gaussian", "gamma": 3.141592653589793}'
 OSE = '{"kind": "one_sided_exp", "gamma": 1.0}'
-
-# bounds takes only the frame-bound settings (LADDER), diagnose and scan FAST
-LADDER = ["--x-grid-n", "16"]
-FAST = LADDER + ["--cert-x-grid-n", "2"]
 
 
 def run(argv, tmp_path, name="out"):
@@ -32,7 +27,7 @@ def run(argv, tmp_path, name="out"):
 # ---------------------------------------------------------------- diagnose
 
 def test_diagnose_gaussian_frame(tmp_path):
-    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1/2"] + FAST,
+    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1/2"],
                      tmp_path)
     payload = json.loads(text)
     assert code == 0
@@ -44,7 +39,7 @@ def test_diagnose_gaussian_frame(tmp_path):
 
 
 def test_diagnose_gaussian_critical(tmp_path):
-    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1"] + FAST,
+    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1"],
                      tmp_path)
     payload = json.loads(text)
     assert code == 1
@@ -53,7 +48,7 @@ def test_diagnose_gaussian_critical(tmp_path):
 
 
 def test_diagnose_density_short_circuit(tmp_path):
-    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "3/2"] + FAST,
+    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "3/2"],
                      tmp_path)
     payload = json.loads(text)
     assert code == 1
@@ -62,7 +57,7 @@ def test_diagnose_density_short_circuit(tmp_path):
 
 
 def test_diagnose_one_sided_exception(tmp_path):
-    code, text = run(["diagnose", "--window", OSE, "--alpha", "1"] + FAST,
+    code, text = run(["diagnose", "--window", OSE, "--alpha", "1"],
                      tmp_path)
     payload = json.loads(text)
     assert payload["verdict"] in ("Frame", "Inconclusive")
@@ -71,7 +66,7 @@ def test_diagnose_one_sided_exception(tmp_path):
 
 def test_diagnose_beta_reduction(tmp_path):
     code, text = run(["diagnose", "--window", GAUSS,
-                      "--alpha", "1/4", "--beta", "2"] + FAST, tmp_path)
+                      "--alpha", "1/4", "--beta", "2"], tmp_path)
     payload = json.loads(text)
     assert payload["alpha_beta"] == "1/2"
     assert code == 0
@@ -81,7 +76,7 @@ def test_diagnose_beta_reduction(tmp_path):
 
 def test_scan_csv_schema(tmp_path):
     code, text = run(["scan", "--window", GAUSS,
-                      "--alphas", "1/2,1,3/2"] + FAST, tmp_path)
+                      "--alphas", "1/2,1,3/2"], tmp_path)
     assert code == 0
     lines = text.strip().split("\n")
     assert lines[0].startswith("# schema=")
@@ -93,20 +88,20 @@ def test_scan_csv_schema(tmp_path):
 def test_scan_empty_grid(tmp_path, capsys):
     # a list with no value is bad input, not a header-only CSV
     for alphas in (",", " , ,", ""):
-        code, text = run(["scan", "--window", GAUSS, "--alphas", alphas]
-                         + FAST, tmp_path)
+        code, text = run(["scan", "--window", GAUSS, "--alphas", alphas],
+                         tmp_path)
         assert code == 64 and text is None
         assert "--alphas needs at least one value" in capsys.readouterr().err
 
 
 def test_scan_rejects_out_of_range(tmp_path):
-    code, _ = run(["scan", "--window", GAUSS, "--alphas", "5/2"] + FAST,
+    code, _ = run(["scan", "--window", GAUSS, "--alphas", "5/2"],
                   tmp_path)
     assert code == 64
 
 
 def test_scan_parallel_matches_serial(tmp_path):
-    args = ["scan", "--window", GAUSS, "--alphas", "1/2,1"] + FAST
+    args = ["scan", "--window", GAUSS, "--alphas", "1/2,1"]
     _, serial = run(args + ["--jobs", "1"], tmp_path, "a")
     _, parallel = run(args + ["--jobs", "2"], tmp_path, "b")
     assert serial == parallel
@@ -154,7 +149,7 @@ def test_scan_records_domain_errors_only(tmp_path, monkeypatch):
             raise exc
         return diagnose
 
-    args = ["scan", "--window", GAUSS, "--alphas", "1/2", "--jobs", "1"] + FAST
+    args = ["scan", "--window", GAUSS, "--alphas", "1/2", "--jobs", "1"]
     monkeypatch.setattr(cli, "diagnose", fail(ZibulskiError("no certificate")))
     code, text = run(args, tmp_path)
     assert code == 0
@@ -170,7 +165,7 @@ def test_scan_records_domain_errors_only(tmp_path, monkeypatch):
 # ------------------------------------------------------------------ bounds
 
 def test_bounds_json(tmp_path):
-    code, text = run(["bounds", "--window", GAUSS, "--alpha", "1/2"] + LADDER,
+    code, text = run(["bounds", "--window", GAUSS, "--alpha", "1/2"],
                      tmp_path)
     payload = json.loads(text)
     assert code == 0
@@ -183,8 +178,8 @@ def test_bounds_json(tmp_path):
 def test_bounds_rejects_out_of_range(tmp_path):
     # same (0, 2] density guard as diagnose and scan
     for alpha in ("3", "5/2"):
-        code, text = run(["bounds", "--window", GAUSS, "--alpha", alpha]
-                         + LADDER, tmp_path)
+        code, text = run(["bounds", "--window", GAUSS, "--alpha", alpha],
+                         tmp_path)
         assert code == 64
         assert text is None
 
@@ -440,12 +435,12 @@ def test_out_of_memory_exits_2(tmp_path, capfd, monkeypatch):
     err = capfd.readouterr().err
     assert code == 2 and text is None
     assert err == "error: MemoryError: Unable to allocate 74.5 GiB for an array\n"
-    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1/2"] + FAST,
+    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "1/2"],
                      tmp_path)
     err = capfd.readouterr().err
     assert code == 2 and text is None
     assert err == "error: MemoryError: Unable to allocate 74.5 GiB for an array\n"
-    code, text = run(["scan", "--window", GAUSS, "--alphas", "1/2,3/2"] + FAST,
+    code, text = run(["scan", "--window", GAUSS, "--alphas", "1/2,3/2"],
                      tmp_path)
     rows = [r.split(",") for r in text.strip().split("\n")[2:]]
     assert code == 0
@@ -490,18 +485,18 @@ def test_non_finite_x_exits_64(tmp_path, command, x):
 
 def test_malformed_arguments_exit_64(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"x_grid_n": "abc"}))
+    cfg.write_text(json.dumps({"xi_grid_n": "abc"}))
     cfg_float = tmp_path / "cfg_float.json"
-    cfg_float.write_text(json.dumps({"x_grid_n": 16.5}))
+    cfg_float.write_text(json.dumps({"xi_grid_n": 128.5}))
     cfg_jobs = tmp_path / "cfg_jobs.json"
     cfg_jobs.write_text(json.dumps({"jobs": 0}))
     cases = [
-        ["diagnose", "--window", GAUSS, "--x-grid-n", "abc"],
+        ["zzdet", "--window", GAUSS, "--xi-grid-n", "abc"],
         ["scan", "--window", GAUSS],                          # no --alphas
         ["diagnose", "--window", GAUSS, "--no-such-flag"],
         ["no-such-command"],
-        ["bounds", "--window", GAUSS, "--config", str(cfg)],
-        ["bounds", "--window", GAUSS, "--config", str(cfg_float)],
+        ["zzdet", "--window", GAUSS, "--config", str(cfg)],
+        ["zzdet", "--window", GAUSS, "--config", str(cfg_float)],
         ["audit", "--window", GAUSS, "--trials", "0"],
         ["audit", "--window", GAUSS, "--trials=-5"],
         ["audit", "--window", GAUSS, "--n-max", "0"],
@@ -532,7 +527,6 @@ def test_j_ladder_flag_exits_64(tmp_path, command):
     code, text = run([command, "--window", GAUSS, "--j-ladder", "16,32,64"]
                      + lattice, tmp_path)
     assert code == 64 and text is None
-    assert "J_ladder" not in {f.name for f in fields(PipelineOptions)}
 
 
 # each removed setting on every command that took it, at its old default
@@ -564,37 +558,44 @@ def test_removed_settings_in_config_are_dropped(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"zak_grid_n": 64, "zero_tol": 1e-14,
                                "sigma_tol": 10.0, "tail_tol": 1e-3}))
-    argv = ["diagnose", "--window", GAUSS, "--alpha", "2/3"] + FAST
+    argv = ["diagnose", "--window", GAUSS, "--alpha", "2/3"]
     code, text = run(argv + ["--config", str(cfg)], tmp_path)
     _, ref = run(argv, tmp_path, "ref")
     assert code == 0 and text == ref
 
 
-def test_option_flags_mirror_pipeline_options():
-    # one flag per PipelineOptions setting the command reads, none for the
-    # others, and no default of its own, so a new field cannot get a second
-    # default in the CLI
-    every = {f.name for f in fields(PipelineOptions)}
-    assert every == {"x_grid_n", "xi_grid_n", "cert_x_grid_n"}
-    takes = {"diagnose": every, "scan": every,
-             "bounds": {"x_grid_n"},
-             "zak": set(),
-             "zzdet": {"xi_grid_n"},
-             "witness": set(),
-             "audit": set()}
-    assert sum(map(len, takes.values())) == 8
-    ap = cli.build_parser()
-    sub = next(a for a in ap._actions if a.dest == "command")
-    assert set(sub.choices) == set(takes)
+def test_grid_settings_are_constants(tmp_path, capsys):
+    # the certificate grids are library constants: their flags are unknown
+    # on every command that took them, their config keys are dropped, and
+    # the one grid flag left is zzdet's plot resolution
+    for command in ("diagnose", "scan", "bounds"):
+        lattice = ["--alphas" if command == "scan" else "--alpha", "1/2"]
+        for flag in ("x-grid-n", "xi-grid-n", "cert-x-grid-n"):
+            code, text = run([command, "--window", GAUSS, f"--{flag}", "128"]
+                             + lattice, tmp_path)
+            assert code == 64 and text is None
+            assert (f"unrecognized arguments: --{flag}"
+                    in capsys.readouterr().err)
+    zzdet = ["zzdet", "--window", GAUSS, "--alpha", "2/3"]
+    code, text = run(zzdet + ["--xi-grid-n", "2048"], tmp_path)
+    assert code == 0 and len(text.splitlines()) == 2 + 2049
+    code, text = run(zzdet + ["--xi-grid-n", "64"], tmp_path, "coarse")
+    assert code == 64 and text is None
+    assert capsys.readouterr().err == "error: xi_grid_n must be >= 128\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x_grid_n": 16, "cert_x_grid_n": 2}))
+    argv = ["diagnose", "--window", GAUSS, "--alpha", "2/3"]
+    assert cli.main(argv) == 0
+    ref = capsys.readouterr().out
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == ref
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     for name, sp in sub.choices.items():
-        for f in fields(PipelineOptions):
-            flags = [a for a in sp._actions if a.dest == f.name]
-            assert len(flags) == (f.name in takes[name])
-            assert all(a.default is None for a in flags)
+        dests = {a.dest for a in sp._actions}
+        assert {d for d in dests if "grid" in d} == {
+            "zak": {"grid_n"}, "zzdet": {"xi_grid_n"}}.get(name, set())
         lattice = {"zak": set(), "scan": {"beta"}}.get(name, {"alpha", "beta"})
-        assert {a.dest for a in sp._actions} & {"alpha", "beta"} == lattice
-    for argv in (["diagnose", "--window", GAUSS], ["zak", "--window", GAUSS]):
-        assert cli._options(ap.parse_args(argv)) == PipelineOptions()
+        assert dests & {"alpha", "beta"} == lattice
 
 
 @pytest.mark.parametrize("argv", [
@@ -644,7 +645,7 @@ def test_narrow_gaussian_runs(tmp_path):
     # exp(gamma) overflows a float beyond gamma = 709.78; the envelope rate
     # is capped so the window stays usable
     code, text = run(["bounds", "--window", '{"kind": "gaussian", "gamma": 710}',
-                      "--alpha", "1/2"] + LADDER, tmp_path)
+                      "--alpha", "1/2"], tmp_path)
     assert code in (0, 2) and json.loads(text)["A_est"] > 0
 
 
@@ -678,7 +679,7 @@ def test_wide_windows_meet_no_absolute_floor(tmp_path, capsys, spec, alpha,
 
 
 def test_decimal_alpha_warns(tmp_path, capsys):
-    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "0.5"] + FAST,
+    code, text = run(["diagnose", "--window", GAUSS, "--alpha", "0.5"],
                      tmp_path)
     assert code == 0
     err = capsys.readouterr().err
@@ -694,8 +695,8 @@ def test_rationalization_warns_unless_exact_literal(capsys, text, warns):
 
 
 def test_scan_warns_for_each_decimal_alpha(tmp_path, capsys):
-    code, text = run(["scan", "--window", GAUSS, "--alphas", "25e-2,1/2"]
-                     + FAST, tmp_path)
+    code, text = run(["scan", "--window", GAUSS, "--alphas", "25e-2,1/2"],
+                     tmp_path)
     err = capsys.readouterr().err
     assert code == 0 and text.count("Frame") == 2
     assert err == ("warning: alpha = 25e-2 rationalized to 1/4 (theory "
@@ -718,7 +719,7 @@ def test_window_from_file(tmp_path):
     spec = tmp_path / "win.json"
     spec.write_text(GAUSS)
     for ref in (f"@{spec}", str(spec)):
-        code, text = run(["bounds", "--window", ref, "--alpha", "1/2"] + LADDER,
+        code, text = run(["bounds", "--window", ref, "--alpha", "1/2"],
                          tmp_path)
         assert code == 0
 
@@ -735,9 +736,7 @@ def test_missing_window_file_exits_64(tmp_path, capsys):
 
 def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
-    # "16" is a string: it must go through the --x-grid-n int type
-    cfg.write_text(json.dumps({"window": GAUSS, "alpha": "1/2",
-                               "x_grid_n": "16", "cert_x_grid_n": 2}))
+    cfg.write_text(json.dumps({"window": GAUSS, "alpha": "1/2"}))
     out = tmp_path / "o1"
     assert cli.main(["bounds", "--config", str(cfg),
                      "--output", str(out)]) == 0
@@ -751,14 +750,19 @@ def test_config_file_flags_win(tmp_path):
     # and the other way round: a config at 3/4 with --alpha 1/2 gives the
     # Gaussian's A at 1/2 (about 0.83), not the one at 3/4 (about 0.54)
     cfg.write_text(json.dumps({"window": GAUSS, "alpha": "3/4"}))
-    code, text = run(["bounds", "--config", str(cfg), "--alpha", "1/2",
-                      "--x-grid-n", "16"], tmp_path, "o3")
+    code, text = run(["bounds", "--config", str(cfg), "--alpha", "1/2"],
+                     tmp_path, "o3")
     assert code == 0
     assert json.loads(text)["A_est"] > 0.8
+    # "129" is a string: it must go through the --xi-grid-n int type
+    cfg.write_text(json.dumps({"window": GAUSS, "alpha": "2/3",
+                               "xi_grid_n": "129"}))
+    code, text = run(["zzdet", "--config", str(cfg)], tmp_path, "o4")
+    assert code == 0 and len(text.splitlines()) == 2 + 130
 
 
 def test_config_alphas_list_string_and_flag_agree(tmp_path):
-    argv = ["scan", "--window", GAUSS] + FAST
+    argv = ["scan", "--window", GAUSS]
     _, flag = run(argv + ["--alphas", "1/2,3/4"], tmp_path, "flag")
     for alphas in (["1/2", "3/4"], "1/2,3/4"):
         cfg = tmp_path / "cfg.json"
@@ -783,7 +787,7 @@ def test_config_file_errors_exit_64(tmp_path):
 
 def test_determinism_repeat_runs(tmp_path):
     for argv, name in [
-        (["diagnose", "--window", GAUSS, "--alpha", "2/3"] + FAST, "d"),
+        (["diagnose", "--window", GAUSS, "--alpha", "2/3"], "d"),
         (["zak", "--window", GAUSS, "--grid-n", "16"], "z"),
         (["audit", "--window", GAUSS, "--alpha", "1/2",
           "--trials", "500"], "a"),

@@ -12,11 +12,9 @@ from fractions import Fraction
 import pytest
 
 from tpgabor.lattice import reduce
-from tpgabor.pipeline import PipelineOptions, diagnose
+from tpgabor.pipeline import diagnose
 from tpgabor.windows import (Dilated, Gaussian, HyperbolicSecant, OneSidedExp,
                              two_sided_exponential)
-
-OPTS = PipelineOptions(x_grid_n=16, cert_x_grid_n=2)
 
 
 def assert_same_bounds(d1, d2, rtol):
@@ -32,15 +30,15 @@ def assert_same_bounds(d1, d2, rtol):
 @pytest.mark.parametrize("a, b", [("1/2", "1"), ("2/3", "1"), ("1/3", "3/2"),
                                   ("3/4", "1/2"), ("3/5", "1")])
 def test_fourier_duality(w, a, b):
-    assert_same_bounds(diagnose(w, reduce(a, b), OPTS),
-                       diagnose(w, reduce(b, a), OPTS), 1e-12)
+    assert_same_bounds(diagnose(w, reduce(a, b)),
+                       diagnose(w, reduce(b, a)), 1e-12)
 
 
 @pytest.mark.parametrize("alpha", ["1/2", "2/3", "1"])
 def test_reflection(alpha):
     lat = reduce(alpha, 1)
-    assert_same_bounds(diagnose(OneSidedExp(1.0), lat, OPTS),
-                       diagnose(OneSidedExp(-1.0), lat, OPTS), 1e-10)
+    assert_same_bounds(diagnose(OneSidedExp(1.0), lat),
+                       diagnose(OneSidedExp(-1.0), lat), 1e-10)
 
 
 @pytest.mark.parametrize("w", [Gaussian(math.pi), HyperbolicSecant(1.0),
@@ -50,6 +48,6 @@ def test_reflection(alpha):
 @pytest.mark.parametrize("c", ["2", "1/3", "5/4"])
 def test_dilation(w, a, b, c):
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    assert_same_bounds(diagnose(w, reduce(a, b), OPTS),
-                       diagnose(Dilated(w, float(c)), reduce(c * a, b / c), OPTS),
+    assert_same_bounds(diagnose(w, reduce(a, b)),
+                       diagnose(Dilated(w, float(c)), reduce(c * a, b / c)),
                        1e-11)

@@ -7,24 +7,13 @@ from hypothesis import strategies as st
 
 from tpgabor import pipeline
 from tpgabor.lattice import RationalLattice, reduce, select_perturbation
-from tpgabor.pipeline import (PipelineOptions, diagnose, diagnosis_min_sigma,
-                              effective_window, zak_anchor)
+from tpgabor.pipeline import (diagnose, diagnosis_min_sigma, effective_window,
+                              zak_anchor)
 from tpgabor.pregramian import FrameDiagnosis
 from tpgabor.tpmatrix import alternating_witness
 from tpgabor.windows import TAIL_TOL, Dilated, Gaussian, window_from_config
 from tpgabor.zak import zak_on_half_line
 from tpgabor.zibulski import SIGMA_TOL, InjectivityCertificate, injectivity_scan
-
-FAST = PipelineOptions(x_grid_n=16, cert_x_grid_n=2)
-
-
-def test_options_validation():
-    # the checks run when the object is built, not when diagnose reads it
-    with pytest.raises(ValueError):
-        PipelineOptions(x_grid_n=4)
-    with pytest.raises(ValueError, match="x_grid_n must be >= 16"):
-        PipelineOptions(x_grid_n=8)
-    PipelineOptions()
 
 
 def test_effective_window_applies_dilation(gauss):
@@ -36,7 +25,7 @@ def test_effective_window_applies_dilation(gauss):
 
 
 def test_diagnose_attaches_all_certificates(gauss):
-    diag = diagnose(gauss, reduce("2/3", 1), FAST)
+    diag = diagnose(gauss, reduce("2/3", 1))
     assert diag.verdict == "Frame"
     kinds = [e["kind"] for e in diag.evidence]
     for kind in ("zak_zero", "alternating_witness", "injectivity",
@@ -48,7 +37,7 @@ def test_diagnose_attaches_all_certificates(gauss):
 def test_injectivity_evidence_carries_sigma_cert(sech):
     # sigma_cert is the minimum of the per-x certified bounds and decides
     # all_invertible against the constant SIGMA_TOL
-    diag = diagnose(sech, reduce("1/2", 1), FAST)
+    diag = diagnose(sech, reduce("1/2", 1))
     rec = next(e for e in diag.evidence if e["kind"] == "injectivity")
     assert rec["sigma_tol"] == SIGMA_TOL
     assert SIGMA_TOL < rec["sigma_cert"] <= rec["min_sigma"]
@@ -58,7 +47,7 @@ def test_injectivity_evidence_carries_sigma_cert(sech):
 def test_diagnose_one_sided_subcritical_uses_anchor(ose):
     # no Zak zero exists; the pipeline anchors the admissible interval at
     # the |Zg| minimizer and must still certify the frame below density 1
-    diag = diagnose(ose, reduce("1/2", 1), FAST)
+    diag = diagnose(ose, reduce("1/2", 1))
     assert diag.verdict == "Frame"
     zz = next(e for e in diag.evidence if e["kind"] == "zak_zero")
     assert zz["x0"] is None
@@ -66,17 +55,17 @@ def test_diagnose_one_sided_subcritical_uses_anchor(ose):
 
 
 def test_diagnose_beta_reduction_equivalence(gauss):
-    a = diagnose(gauss, reduce("1/2", 1), FAST)
-    b = diagnose(gauss, reduce("1/4", 2), FAST)
+    a = diagnose(gauss, reduce("1/2", 1))
+    b = diagnose(gauss, reduce("1/4", 2))
     assert a.verdict == b.verdict == "Frame"
 
 
-def test_diagnose_witness_covers_whole_period():
+def test_diagnose_witness_covers_whole_period(monkeypatch):
     # p = 35 > 33: a witness on [-16, 16] sees 33 of the 35 residues, so
     # min_nu must be the minimum of |Zg(delta_r, 1/2)| over the whole period
-    opts = PipelineOptions(x_grid_n=16, cert_x_grid_n=1)
+    monkeypatch.setattr(pipeline, "CERT_X_GRID_N", 1)
     g, lat = Gaussian(), reduce("35/36", 1)
-    diag = diagnose(g, lat, opts)
+    diag = diagnose(g, lat)
     min_nu = next(e["min_nu"] for e in diag.evidence
                   if e["kind"] == "alternating_witness")
     x0, _ = zak_anchor(g)
@@ -124,11 +113,10 @@ def _count_perturbations(monkeypatch):
 
 @pytest.mark.parametrize("alpha", ["3/8", "2/3"])
 def test_diagnose_one_certificate_x_per_class(gauss, monkeypatch, alpha):
-    opts = PipelineOptions(x_grid_n=16)
     lat = reduce(alpha, 1)
     calls = _count_perturbations(monkeypatch)
-    assert diagnose(gauss, lat, opts).verdict == "Frame"
-    n = opts.cert_x_grid_n
+    assert diagnose(gauss, lat).verdict == "Frame"
+    n = pipeline.CERT_X_GRID_N
     assert len(calls) == n // math.gcd(n, lat.q)
 
 
@@ -142,7 +130,7 @@ def test_diagnose_one_certificate_x_at_q_128(gauss, monkeypatch):
     monkeypatch.setattr(pipeline, "injectivity_scan",
                         lambda *a, **k: InjectivityCertificate(
                             min_sigma=1.0, sigma_cert=1.0, invertible=True))
-    diagnose(gauss, lat, PipelineOptions())
+    diagnose(gauss, lat)
     assert calls == [0.0]
 
 

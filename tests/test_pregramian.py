@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from tpgabor import pregramian
 from tpgabor.lattice import RationalLattice, reduce
 from tpgabor.pipeline import diagnose
-from tpgabor.pregramian import (J_LADDER, PregramianError, frame_bounds,
-                                lower_bound_at_x, pregramian_section,
-                                upper_bound_cert)
+from tpgabor.pregramian import (J_LADDER, X_GRID_N, PregramianError,
+                                frame_bounds, lower_bound_at_x,
+                                pregramian_section, upper_bound_cert)
 from tpgabor.windows import (Dilated, FiniteProduct, Gaussian,
                              HyperbolicSecant, OneSidedExp, truncation_radius,
                              two_sided_exponential)
@@ -218,7 +218,7 @@ def test_ladder_rungs_follow_rung_rule(request, name, alpha):
     w, lat = request.getfixturevalue(name), reduce(alpha, 1)
     R = truncation_radius(w, 1e-10)
     scale = max(1.0, (R + 4) / (16 * lat.alpha_float))
-    rungs = frame_bounds(w, lat, x_grid_n=16).evidence[0]["J_ladder"]
+    rungs = frame_bounds(w, lat).evidence[0]["J_ladder"]
     assert rungs == [math.ceil(J0 * scale) for J0 in J_LADDER]
     assert rungs[0] * lat.alpha_float >= R + 4
 
@@ -251,9 +251,9 @@ def test_ladder_decay_never_gives_not_frame(gauss, ose, monkeypatch):
         return 0.5 ** len(calls)
 
     monkeypatch.setattr(pregramian, "lower_bound_at_x", halving)
-    diag = frame_bounds(gauss, reduce("7/8", 1), x_grid_n=16)
+    diag = frame_bounds(gauss, reduce("7/8", 1))
     assert diag.verdict == "Inconclusive"
-    diag = frame_bounds(ose, reduce(1, 1), x_grid_n=16)
+    diag = frame_bounds(ose, reduce(1, 1))
     assert diag.verdict == "Inconclusive"
     assert diag.evidence[-1] == {
         "kind": "critical_density_exception",
@@ -268,7 +268,7 @@ def test_collapsed_ladder_is_not_stable(gauss, monkeypatch):
     trace = iter([0.5, 0.0, 0.0])
     monkeypatch.setattr(pregramian, "lower_bound_at_x",
                         lambda w, lat, x, J: next(trace))
-    diag = frame_bounds(gauss, reduce("1/2", 1), x_grid_n=16)
+    diag = frame_bounds(gauss, reduce("1/2", 1))
     assert diag.verdict == "Inconclusive"
     assert diag.lower_bound_est > 0.5
     assert diag.evidence[0]["A_trace"] == [0.5, 0.0, 0.0]
@@ -302,7 +302,7 @@ def test_ladder_rungs_bounded_below_by_transfer_window(request, name, alpha):
     # sigma_min^2 is at least the lower frame bound of P(x_lad)
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
-    ladder = frame_bounds(w, lat, x_grid_n=16).evidence[0]
+    ladder = frame_bounds(w, lat).evidence[0]
     A_x = transfer_window(w, lat, [ladder["x"]])[0][0]
     assert min(ladder["A_trace"]) >= A_x * (1 - 1e-12)
 
@@ -310,7 +310,7 @@ def test_ladder_rungs_bounded_below_by_transfer_window(request, name, alpha):
 def test_upper_bound_finiteness(gauss, tsexp, sech, ose):
     lat = reduce("1/2", 1)
     for w in (gauss, tsexp, sech, ose):
-        diag = frame_bounds(w, lat, x_grid_n=16)
+        diag = frame_bounds(w, lat)
         assert diag.upper_bound_est <= upper_bound_cert(
             w, alpha=lat.alpha_float) + 1e-12
 
@@ -319,8 +319,8 @@ def test_cross_validation_with_transfer_bound(gauss):
     # A_est is the minimum of the exact q x p spectral window over one
     # x-period; the truncation ladder at the worst x agrees within 10%
     lat = reduce("2/3", 1)
-    diag = frame_bounds(gauss, lat, x_grid_n=16)
-    xs = np.arange(16) / (16 * lat.q)
+    diag = frame_bounds(gauss, lat)
+    xs = np.arange(X_GRID_N) / (X_GRID_N * lat.q)
     lows = [transfer_window(gauss, lat, [x])[0][0] for x in xs]
     assert diag.lower_bound_est == pytest.approx(min(lows), rel=1e-12)
     assert diag.worst_x == pytest.approx(float(xs[int(np.argmin(lows))]))
@@ -333,7 +333,7 @@ def test_cross_validation_with_transfer_bound(gauss):
     assert window["kind"] == "transfer_window"
     assert window["A"] == diag.lower_bound_est
     assert window["B"] == diag.upper_bound_est
-    assert window["x_grid_n"] == 16
+    assert window["x_grid_n"] == X_GRID_N
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,7 +359,8 @@ def test_even_window_mirror_symmetry(name, q, p, t):
 def test_frame_bounds_half_grid_for_even_windows(ose, monkeypatch, name,
                                                  alpha, x_grid_n):
     # an even window evaluates one x per mirror pair j <-> x_grid_n - j and
-    # loses nothing against the whole one-period grid
+    # loses nothing against the whole one-period grid, for an even or an
+    # odd grid size
     w = ose if name == "ose" else EVEN[name]
     lat = reduce(alpha, 1)
     seen = []
@@ -369,7 +370,8 @@ def test_frame_bounds_half_grid_for_even_windows(ose, monkeypatch, name,
         return transfer_window(w, lat, xs, *args, **kwargs)
 
     monkeypatch.setattr(pregramian, "transfer_window", counting)
-    diag = frame_bounds(w, lat, x_grid_n=x_grid_n)
+    monkeypatch.setattr(pregramian, "X_GRID_N", x_grid_n)
+    diag = frame_bounds(w, lat)
     assert seen == [x_grid_n // 2 + 1 if w.even else x_grid_n]
     full = transfer_window(w, lat, np.arange(x_grid_n) / (x_grid_n * lat.q))[0]
     assert diag.lower_bound_est == pytest.approx(float(np.min(full)), rel=1e-9)
@@ -384,15 +386,10 @@ def test_ladder_centred_on_worst_vector(gauss):
     # A = 0.081, and Gaussian 55/56 read NotFrame that way), while the
     # section centred on it is flat from the first rung
     lat = reduce("31/32", 1)
-    diag = frame_bounds(gauss, lat, x_grid_n=16)
+    diag = frame_bounds(gauss, lat)
     trace = diag.evidence[0]["A_trace"]
     assert diag.verdict == "Frame"
     assert trace[0] == pytest.approx(diag.lower_bound_est, rel=0.01)
-
-
-def test_frame_bounds_validation(gauss):
-    with pytest.raises(PregramianError):
-        frame_bounds(gauss, reduce("1/2", 1), x_grid_n=4)
 
 
 def _interior_gram_bound(sec, w, lat, J):

@@ -10,7 +10,7 @@ from oracles import fourier_factorization_check
 from tpgabor import zibulski
 from tpgabor.lattice import (PerturbationSeq, RationalLattice, reduce,
                              select_perturbation)
-from tpgabor.pipeline import PipelineOptions, diagnose, zak_anchor
+from tpgabor.pipeline import CERT_X_GRID_N, diagnose, zak_anchor
 from tpgabor.windows import (Dilated, Gaussian, HyperbolicSecant, OneSidedExp,
                              two_sided_exponential)
 from tpgabor.zak import zak_values
@@ -136,12 +136,6 @@ def test_injectivity_rejects_period_mismatch(gauss, gauss_pert_23):
         a_landscape(gauss, reduce("3/4", 1), pert, np.array([0.0]), 1e-10)
 
 
-def test_injectivity_grid_floor(gauss, gauss_pert_23):
-    lat, pert = gauss_pert_23
-    with pytest.raises(ZibulskiError):
-        injectivity_scan(gauss, lat, pert, xi_grid_n=64)
-
-
 def test_det_sigma_inequalities(gauss, gauss_pert_23):
     lat, pert = gauss_pert_23
     xis = np.linspace(0.0, 1.0 / lat.p, 65)
@@ -239,14 +233,16 @@ def _count_svd_matrices(monkeypatch):
     ("tsexp", "3/4", 0.2, 128), ("ose", "5/7", 0.1, 130)])
 def test_injectivity_evaluations_within_grid(request, monkeypatch, name,
                                              alpha, x, n):
-    # every node is evaluated at most once, so at most xi_grid_n + 1 SVDs;
-    # x = None is the degenerate delta_0 = x0, which splits down to one step
+    # every node is evaluated at most once, so at most n + 1 SVDs for a
+    # node budget n; x = None is the degenerate delta_0 = x0, which splits
+    # down to one step
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
     pert = (const_pert(0.5) if x is None else
             select_perturbation(lat, x, zak_anchor(w)[0]))
+    monkeypatch.setattr(zibulski, "INJECTIVITY_XI_GRID_N", n)
     counts = _count_svd_matrices(monkeypatch)
-    cert = injectivity_scan(w, lat, pert, xi_grid_n=n)
+    cert = injectivity_scan(w, lat, pert)
     assert sum(counts) <= n + 1
     assert cert.invertible == (x is not None)
 
@@ -263,15 +259,17 @@ def test_injectivity_bisection_on_sech(sech, monkeypatch):
     assert cert.invertible
 
 
-def test_injectivity_verdict_is_sigma_cert_against_tol(gauss, zak_zeros):
+def test_injectivity_verdict_is_sigma_cert_against_tol(gauss, zak_zeros,
+                                                      monkeypatch):
     lat = reduce("2/3", 1)
     pert = make_pert(lat, 0.1, zak_zeros["gauss"].x0)
     cert = injectivity_scan(gauss, lat, pert)
     assert 0 < cert.sigma_cert <= cert.min_sigma
-    assert not injectivity_scan(gauss, lat, pert,
-                                sigma_tol=cert.sigma_cert).invertible
-    below = np.nextafter(cert.sigma_cert, 0.0)
-    assert injectivity_scan(gauss, lat, pert, sigma_tol=below).invertible
+    monkeypatch.setattr(zibulski, "SIGMA_TOL", cert.sigma_cert)
+    assert not injectivity_scan(gauss, lat, pert).invertible
+    monkeypatch.setattr(zibulski, "SIGMA_TOL",
+                        np.nextafter(cert.sigma_cert, 0.0))
+    assert injectivity_scan(gauss, lat, pert).invertible
 
 
 @pytest.mark.parametrize("name, alpha", [("gauss", "3/8"), ("sech", "5/8"),
@@ -281,9 +279,8 @@ def test_injectivity_below_transfer_lower_bound(request, name, alpha):
     # every certificate x of diagnose min_sigma^2 is at most the transfer A
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
-    opts = PipelineOptions()
     x0, _ = zak_anchor(w)
-    n = opts.cert_x_grid_n
+    n = CERT_X_GRID_N
     for x in np.arange(n // math.gcd(n, lat.q)) / n:
         pert = select_perturbation(lat, float(x), x0)
         sigma = injectivity_scan(w, lat, pert).min_sigma
