@@ -75,9 +75,8 @@ def diagnose(w: TPWindow, lat: RationalLattice) -> FrameDiagnosis:
     xs = np.arange(n // math.gcd(n, lat.q)) / n
     K = max(16, lat.p // 2)
     min_nu = float("inf")
-    min_sigma = sigma_cert = float("inf")
-    all_invertible = True
     witness_fail = None
+    perts = []
     for x in xs:
         pert = select_perturbation(lat, float(x), x0)
         try:
@@ -85,10 +84,11 @@ def diagnose(w: TPWindow, lat: RationalLattice) -> FrameDiagnosis:
             min_nu = min(min_nu, wit.nu)
         except TPMatrixError as e:
             witness_fail = str(e)
-        cert = injectivity_scan(g, lat, pert)
-        min_sigma = min(min_sigma, cert.min_sigma)
-        sigma_cert = min(sigma_cert, cert.sigma_cert)
-        all_invertible = all_invertible and cert.invertible
+        perts.append(pert)
+    certs = injectivity_scan(g, lat, perts)
+    min_sigma = min(cert.min_sigma for cert in certs)
+    sigma_cert = min(cert.sigma_cert for cert in certs)
+    all_invertible = all(cert.invertible for cert in certs)
     evidence.append({"kind": "alternating_witness", "min_nu": min_nu,
                      "x_grid_n": n,
                      "failure": witness_fail})

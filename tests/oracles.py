@@ -3,7 +3,11 @@
 ``fourier_factorization_check`` is the oracle of acceptance criterion 8
 (the Fourier factorization of G through A(xi)), and
 ``inverse_decay_profile`` the one of criterion 10 (off-diagonal decay of
-the inverse of a G section).  ``Hermite1`` and ``Shifted`` are windows
+the inverse of a G section).  ``transfer_window_full_grid`` and
+``injectivity_scan_one`` are the references of the transfer window's
+sparse eigenvalue step and of the shared injectivity round loop: the
+straightforward forms, ``eigvalsh`` at every xi node and one cover per
+perturbation, that the package must match bitwise.  ``Hermite1`` and ``Shifted`` are windows
 outside the theorem, the negative controls of the certificates.  All of
 them read the package; none is read by it.
 """
@@ -16,8 +20,13 @@ import numpy as np
 
 from tpgabor.lattice import PerturbationSeq, RationalLattice
 from tpgabor.tpmatrix import G_entries, MatrixSection, TPMatrixError
-from tpgabor.windows import DecayProfile, TPWindow, truncation_radius
-from tpgabor.zibulski import ZibulskiError, _A_stack
+from tpgabor.windows import (TAIL_TOL, DecayProfile, TPWindow,
+                             truncation_radius)
+from tpgabor.zak import _zak_samples
+from tpgabor.zibulski import (INJECTIVITY_XI_GRID_N, SIGMA_TOL,
+                              TRANSFER_XI_GRID_N, InjectivityCertificate,
+                              ZibulskiError, _A_points, _A_stack,
+                              _TRANSFER_CHUNK, _transfer_stack, a_landscape)
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,60 @@ def _residue_series(idx: np.ndarray, vals: np.ndarray, p: int,
         ns = (idx[sel] - r) // p
         out[:, r] = np.exp(-2j * math.pi * p * np.outer(xis, ns)) @ vals[sel]
     return out
+
+
+def transfer_window_full_grid(w: TPWindow, lat: RationalLattice, xs,
+                              xi_grid_n: int = TRANSFER_XI_GRID_N) -> tuple:
+    """:func:`tpgabor.zibulski.transfer_window` with ``eigvalsh`` at every node.
+
+    One stacked ``eigvalsh`` of the Gram matrices of every (x, xi) pair of
+    a chunk; the extremes are read off the whole grid.
+    """
+    p, q = lat.p, lat.q
+    xs = np.asarray(xs, dtype=float)
+    xis = np.linspace(0.0, 1.0 / p, xi_grid_n + 1)[:xi_grid_n // 2 + 1]
+    step = max(1, _TRANSFER_CHUNK // (q * p * len(xis)))
+    lo, hi, xi_lo = np.zeros(len(xs)), np.empty(len(xs)), np.empty(len(xs))
+    for i in range(0, len(xs), step):
+        B = _transfer_stack(w, lat, xs[i:i + step], xis, TAIL_TOL)
+        Bh = np.conj(np.swapaxes(B, -1, -2))
+        ev = np.linalg.eigvalsh(Bh @ B if q >= p else B @ Bh)  # ascending
+        hi[i:i + step] = np.max(ev[..., -1], axis=1)
+        xi_lo[i:i + step] = xis[np.argmin(ev[..., 0], axis=1)]
+        if q >= p:
+            lo[i:i + step] = np.maximum(np.min(ev[..., 0], axis=1), 0.0)
+    return lo, hi, xi_lo
+
+
+def injectivity_scan_one(w: TPWindow, lat: RationalLattice,
+                         pert: PerturbationSeq) -> InjectivityCertificate:
+    """The bisection cover of :func:`tpgabor.zibulski.injectivity_scan` for
+    one perturbation, with its own round loop and one SVD call per round."""
+    p, n = lat.p, INJECTIVITY_XI_GRID_N
+    nodes = np.linspace(0.0, 1.0 / p, 2 * n + 1)[:n + 1]
+    k, gmat = samples = _zak_samples(w, p, _A_points(lat, pert), TAIL_TOL)
+    absg = np.abs(gmat)
+    L = 2.0 * math.pi * p * float(np.linalg.norm(absg @ np.abs(k)))
+    eps = np.finfo(float).eps
+    err = (p * TAIL_TOL * (1.0 + k.size * eps)
+           + (k.size + p) * eps * float(np.linalg.norm(absg.sum(axis=1))))
+
+    sig = np.full(n + 1, np.nan)
+    i, j, new = np.array([0]), np.array([n]), np.array([0, n])
+    sigma_cert = math.inf
+    while i.size:
+        sig[new] = a_landscape(w, lat, pert, nodes[new], TAIL_TOL, samples)[0]
+        bound = (sig[i] + sig[j] - L * (nodes[j] - nodes[i])) / 2.0 - err
+        done = (bound >= np.minimum(sig[i], sig[j]) / 2.0) | (j - i == 1)
+        if done.any():
+            sigma_cert = min(sigma_cert, max(float(np.min(bound[done])), 0.0))
+        i, j = i[~done], j[~done]
+        new = (i + j) // 2
+        i, j = np.ravel([i, new], "F"), np.ravel([new, j], "F")
+
+    return InjectivityCertificate(min_sigma=float(np.nanmin(sig)),
+                                  sigma_cert=sigma_cert,
+                                  invertible=sigma_cert > SIGMA_TOL)
 
 
 @dataclass(frozen=True)

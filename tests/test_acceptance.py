@@ -147,7 +147,7 @@ def test_criterion_7_cross_certificate_consistency(
         for alpha in SUITE_ALPHAS:
             lat = reduce(alpha, 1)
             pert = make_pert(lat, 0.1, zak_zeros[name].x0)
-            inv = injectivity_scan(w, lat, pert).invertible
+            inv = injectivity_scan(w, lat, [pert])[0].invertible
             frame = frame_bounds(w, lat).verdict == "Frame"
             ok = ok and (inv == frame)
     report(capsys, 7,

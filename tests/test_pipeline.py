@@ -93,7 +93,7 @@ def test_certificates_one_over_q_periodic(anchored, name, q, p, x):
     lat = RationalLattice(p=p // d, q=q // d)
     w, x0 = anchored[name]
     perts = [select_perturbation(lat, xx, x0) for xx in (x, x + 1.0 / lat.q)]
-    s0, s1 = (injectivity_scan(w, lat, pe).min_sigma for pe in perts)
+    s0, s1 = (cert.min_sigma for cert in injectivity_scan(w, lat, perts))
     assert abs(s0 - s1) <= 1e-12 * s0
     K = max(16, lat.p // 2)
     n0, n1 = (alternating_witness(w, pe, K=K).nu for pe in perts)
@@ -127,9 +127,9 @@ def test_diagnose_one_certificate_x_at_q_128(gauss, monkeypatch):
     calls = _count_perturbations(monkeypatch)
     monkeypatch.setattr(pipeline, "frame_bounds", lambda *a, **k: FrameDiagnosis(
         verdict="Frame", lower_bound_est=1.0, upper_bound_est=1.0, worst_x=0.0))
+    cert = InjectivityCertificate(min_sigma=1.0, sigma_cert=1.0, invertible=True)
     monkeypatch.setattr(pipeline, "injectivity_scan",
-                        lambda *a, **k: InjectivityCertificate(
-                            min_sigma=1.0, sigma_cert=1.0, invertible=True))
+                        lambda w, lat, perts: [cert] * len(perts))
     diagnose(gauss, lat)
     assert calls == [0.0]
 

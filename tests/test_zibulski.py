@@ -6,22 +6,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pert
-from oracles import fourier_factorization_check
+from oracles import (fourier_factorization_check, injectivity_scan_one,
+                     transfer_window_full_grid)
 from tpgabor import zibulski
 from tpgabor.lattice import (PerturbationSeq, RationalLattice, reduce,
                              select_perturbation)
 from tpgabor.pipeline import CERT_X_GRID_N, diagnose, zak_anchor
 from tpgabor.windows import (Dilated, Gaussian, HyperbolicSecant, OneSidedExp,
-                             two_sided_exponential)
+                             two_sided_exponential, window_from_config)
 from tpgabor.zak import zak_values
 from tpgabor.zibulski import (TRANSFER_XI_GRID_N, ZibulskiError, _A_stack,
-                              _transfer_stack, a_landscape, injectivity_scan,
+                              _gram_extremes, _transfer_stack, a_landscape,
+                              cholesky_completes, injectivity_scan,
                               transfer_window)
 
 WINDOWS = {"gauss": Gaussian(gamma=math.pi), "sech": HyperbolicSecant(a=1.0),
            "tsexp": two_sided_exponential(rate=1.0),
            "ose": OneSidedExp(gamma=1.0),
            "dilated": Dilated(base=HyperbolicSecant(a=1.0), b=0.7)}
+# the five windows of the benchmark and a dilated sech
+BITWISE_WINDOWS = {**WINDOWS, "fp3": window_from_config(
+    {"kind": "finite_product", "gamma": 0.0, "nus": [1.0, -0.5, 0.25],
+     "nu": 0.0, "c": 1.0})}
 
 
 def const_pert(delta, x0=0.5, M=0, eps=0.1):
@@ -108,7 +114,7 @@ def test_factorization_rejects_empty_c(gauss, gauss_pert_23):
 def test_injectivity_gaussian_half(gauss, zak_zeros):
     lat = reduce("1/2", 1)
     pert = make_pert(lat, 0.1, zak_zeros["gauss"].x0)
-    cert = injectivity_scan(gauss, lat, pert)
+    cert = injectivity_scan(gauss, lat, [pert])[0]
     assert cert.invertible
     assert cert.min_sigma > 1e-8
 
@@ -116,7 +122,7 @@ def test_injectivity_gaussian_half(gauss, zak_zeros):
 def test_injectivity_degenerate_at_zero(gauss):
     # delta_0 = x0 puts Zg(x0, 1/2) = 0 on the scanned line: not invertible
     lat = reduce("1/2", 1)
-    cert = injectivity_scan(gauss, lat, const_pert(0.5))
+    cert = injectivity_scan(gauss, lat, [const_pert(0.5)])[0]
     assert not cert.invertible
     assert cert.min_sigma < 1e-6
 
@@ -124,14 +130,14 @@ def test_injectivity_degenerate_at_zero(gauss):
 def test_injectivity_two_sided_exp(tsexp, zak_zeros):
     lat = reduce("3/4", 1)
     pert = make_pert(lat, 0.2, zak_zeros["tsexp"].x0)
-    cert = injectivity_scan(tsexp, lat, pert)
+    cert = injectivity_scan(tsexp, lat, [pert])[0]
     assert cert.invertible
 
 
 def test_injectivity_rejects_period_mismatch(gauss, gauss_pert_23):
     _, pert = gauss_pert_23  # p = 2
     with pytest.raises(ZibulskiError):
-        injectivity_scan(gauss, reduce("1/2", 1), pert)
+        injectivity_scan(gauss, reduce("1/2", 1), [pert])
     with pytest.raises(ZibulskiError):
         a_landscape(gauss, reduce("3/4", 1), pert, np.array([0.0]), 1e-10)
 
@@ -163,7 +169,7 @@ def test_injectivity_half_grid_loses_nothing(request, name, alpha):
     w = request.getfixturevalue(name)
     lat = reduce(alpha, 1)
     pert = select_perturbation(lat, 0.1, zak_anchor(w)[0])
-    cert = injectivity_scan(w, lat, pert)
+    cert = injectivity_scan(w, lat, [pert])[0]
     xis = np.linspace(0.0, 1.0 / lat.p, 2 * 128 + 1)
     smin, _ = a_landscape(w, lat, pert, xis, 1e-10)
     assert 0 < cert.sigma_cert <= np.min(smin)
@@ -172,8 +178,7 @@ def test_injectivity_half_grid_loses_nothing(request, name, alpha):
 
 @pytest.fixture(scope="module")
 def anchors():
-    return {name: zak_anchor(WINDOWS[name])[0]
-            for name in ("gauss", "sech", "tsexp", "ose")}
+    return {name: zak_anchor(w)[0] for name, w in BITWISE_WINDOWS.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,7 +191,7 @@ def test_sigma_cert_below_dense_sigma_min(anchors, name, q, p, x):
     lat = RationalLattice(p=min(p, q - 1) // d, q=q // d)
     w = WINDOWS[name]
     pert = select_perturbation(lat, x, anchors[name])
-    cert = injectivity_scan(w, lat, pert)
+    cert = injectivity_scan(w, lat, [pert])[0]
     xis = np.linspace(0.0, 1.0 / lat.p, 2049)
     smin, _ = a_landscape(w, lat, pert, xis, 1e-10)
     assert 0 <= cert.sigma_cert <= np.min(smin)
@@ -242,7 +247,7 @@ def test_injectivity_evaluations_within_grid(request, monkeypatch, name,
             select_perturbation(lat, x, zak_anchor(w)[0]))
     monkeypatch.setattr(zibulski, "INJECTIVITY_XI_GRID_N", n)
     counts = _count_svd_matrices(monkeypatch)
-    cert = injectivity_scan(w, lat, pert)
+    cert = injectivity_scan(w, lat, [pert])[0]
     assert sum(counts) <= n + 1
     assert cert.invertible == (x is not None)
 
@@ -254,7 +259,7 @@ def test_injectivity_bisection_on_sech(sech, monkeypatch):
     lat = reduce("1/2", 1)
     pert = select_perturbation(lat, 0.1, zak_anchor(sech)[0])
     counts = _count_svd_matrices(monkeypatch)
-    cert = injectivity_scan(sech, lat, pert)
+    cert = injectivity_scan(sech, lat, [pert])[0]
     assert sum(counts) <= 64
     assert cert.invertible
 
@@ -263,13 +268,44 @@ def test_injectivity_verdict_is_sigma_cert_against_tol(gauss, zak_zeros,
                                                       monkeypatch):
     lat = reduce("2/3", 1)
     pert = make_pert(lat, 0.1, zak_zeros["gauss"].x0)
-    cert = injectivity_scan(gauss, lat, pert)
+    cert = injectivity_scan(gauss, lat, [pert])[0]
     assert 0 < cert.sigma_cert <= cert.min_sigma
     monkeypatch.setattr(zibulski, "SIGMA_TOL", cert.sigma_cert)
-    assert not injectivity_scan(gauss, lat, pert).invertible
+    assert not injectivity_scan(gauss, lat, [pert])[0].invertible
     monkeypatch.setattr(zibulski, "SIGMA_TOL",
                         np.nextafter(cert.sigma_cert, 0.0))
-    assert injectivity_scan(gauss, lat, pert).invertible
+    assert injectivity_scan(gauss, lat, [pert])[0].invertible
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(BITWISE_WINDOWS)), q=st.integers(2, 12),
+       p=st.integers(1, 11))
+def test_injectivity_scan_bitwise_one_cover_per_x(anchors, name, q, p):
+    # the shared round loop over diagnose's certificate x gives each x the
+    # certificate of its own cover, bit for bit, with Python float and bool
+    d = math.gcd(min(p, q - 1), q)
+    lat = RationalLattice(p=min(p, q - 1) // d, q=q // d)
+    w = BITWISE_WINDOWS[name]
+    n = CERT_X_GRID_N
+    perts = [select_perturbation(lat, float(x), anchors[name])
+             for x in np.arange(n // math.gcd(n, lat.q)) / n]
+    certs = injectivity_scan(w, lat, perts)
+    assert certs == [injectivity_scan_one(w, lat, pe) for pe in perts]
+    for cert in certs:
+        assert type(cert.min_sigma) is float and type(cert.sigma_cert) is float
+        assert type(cert.invertible) is bool
+
+
+def test_injectivity_scan_one_svd_call_per_round(sech, monkeypatch):
+    # sech at 1/2 has 8 certificate x; their covers share each round's SVD
+    lat = reduce("1/2", 1)
+    x0 = zak_anchor(sech)[0]
+    perts = [select_perturbation(lat, x, x0) for x in np.arange(8) / 16]
+    counts = _count_svd_matrices(monkeypatch)
+    certs = injectivity_scan(sech, lat, perts)
+    assert len(certs) == 8 and all(c.invertible for c in certs)
+    assert len(counts) <= math.ceil(math.log2(zibulski.INJECTIVITY_XI_GRID_N)) + 1
+    assert sum(counts) <= 8 * (zibulski.INJECTIVITY_XI_GRID_N + 1)
 
 
 @pytest.mark.parametrize("name, alpha", [("gauss", "3/8"), ("sech", "5/8"),
@@ -283,7 +319,7 @@ def test_injectivity_below_transfer_lower_bound(request, name, alpha):
     n = CERT_X_GRID_N
     for x in np.arange(n // math.gcd(n, lat.q)) / n:
         pert = select_perturbation(lat, float(x), x0)
-        sigma = injectivity_scan(w, lat, pert).min_sigma
+        sigma = injectivity_scan(w, lat, [pert])[0].min_sigma
         assert sigma ** 2 <= transfer_window(w, lat, [x])[0][0] * (1 + 1e-12)
 
 
@@ -384,6 +420,87 @@ def test_transfer_window_matches_svd_reference(name, q, p, t):
     lo, hi, _ = transfer_window(w, lat, xs)
     np.testing.assert_allclose(hi, hi_ref, rtol=0.0, atol=1e-12 * np.max(hi_ref))
     np.testing.assert_allclose(lo, lo_ref, rtol=0.0, atol=1e-12 * np.max(hi_ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(BITWISE_WINDOWS)), q=st.integers(1, 12),
+       p=st.integers(1, 12), t=st.floats(0.0, 1.0, exclude_max=True))
+def test_transfer_window_bitwise_full_grid(name, q, p, t):
+    # eigvalsh only at the nodes the Cholesky test cannot clear gives the
+    # extremes and the argmin of eigvalsh at every node, bit for bit
+    g = math.gcd(p, q)
+    lat = RationalLattice(p=p // g, q=q // g)
+    w = BITWISE_WINDOWS[name]
+    xs = (t + np.arange(5)) / (5 * lat.q)
+    for a, b in zip(transfer_window(w, lat, xs),
+                    transfer_window_full_grid(w, lat, xs)):
+        assert np.array_equal(a, b)
+
+
+def _gram_stack(w, lat, xs):
+    xis = np.linspace(0.0, 1.0 / lat.p, TRANSFER_XI_GRID_N + 1)
+    B = _transfer_stack(w, lat, xs, xis[:TRANSFER_XI_GRID_N // 2 + 1], 1e-10)
+    return np.conj(np.swapaxes(B, -1, -2)) @ B
+
+
+def test_transfer_window_ose_11_12_evaluates_near_minimum(ose):
+    # the row minima sit at a xi end; its neighbour is too close to clear,
+    # so every one of the 64 x rows evaluates an interior node
+    lat = reduce("11/12", 1)
+    xs = np.arange(64) / (64 * lat.q)
+    ev_lo, _ = _gram_extremes(_gram_stack(ose, lat, xs))
+    evaluated = np.isfinite(ev_lo[:, 1:-1]).sum(axis=1)
+    assert np.all(evaluated >= 1)
+    assert np.all(evaluated < TRANSFER_XI_GRID_N // 2 - 1)
+    for a, b in zip(transfer_window(ose, lat, xs),
+                    transfer_window_full_grid(ose, lat, xs)):
+        assert np.array_equal(a, b)
+
+
+def test_transfer_window_gaussian_23_24_flat_rows(gauss, monkeypatch):
+    # lambda_min is flat in xi to about 1e-14 here: its end values agree
+    # within delta, so every row goes to eigvalsh without a node test
+    def refuse(M):
+        raise AssertionError("node test run on a flat row")
+
+    monkeypatch.setattr(zibulski, "cholesky_completes", refuse)
+    lat = reduce("23/24", 1)
+    xs = np.arange(33) / (64 * lat.q)
+    for a, b in zip(transfer_window(gauss, lat, xs),
+                    transfer_window_full_grid(gauss, lat, xs)):
+        assert np.array_equal(a, b)
+
+
+def test_transfer_window_rank_deficient_bitwise(sech):
+    # q < p: the q x q Gram matrix B B^H; lo is 0, xi_lo its argmin
+    lat = reduce("7/5", 1)
+    xs = np.arange(9) / (9 * lat.q)
+    for a, b in zip(transfer_window(sech, lat, xs),
+                    transfer_window_full_grid(sech, lat, xs)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1),
+       s=st.floats(0.0, 2.0), ks=st.lists(st.integers(-4, 4), min_size=8,
+                                          max_size=8))
+def test_node_test_never_clears_at_or_below_s(n, seed, s, ks):
+    # Hermitian matrices with lambda_min planted k delta from s, k in
+    # [-4, 4], delta = 3 (n + 1)^2 eps T as in the transfer window: the
+    # node test on S - (s + delta) I never clears a matrix whose eigvalsh
+    # lambda_min is at most s, and clears each planted 3 delta above s
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(8, n, n)) + 1j * rng.normal(size=(8, n, n))
+    Q = np.linalg.qr(z)[0]
+    lam = s + 1.0 + rng.random((8, n))
+    T = np.sum(lam, axis=1)
+    delta = 3.0 * (n + 1) ** 2 * np.finfo(float).eps * T
+    lam[:, 0] = s + np.array(ks) * delta
+    S = (Q * lam[:, None, :]) @ np.conj(np.swapaxes(Q, -1, -2))
+    clear = cholesky_completes(S - (s + delta)[:, None, None] * np.eye(n))
+    lam_min = np.linalg.eigvalsh(S)[:, 0]
+    assert not np.any(clear & (lam_min <= s))
+    assert np.all(clear[np.array(ks) >= 3])
 
 
 def test_transfer_stack_has_no_subnormals_gaussian_31_32(gauss):
