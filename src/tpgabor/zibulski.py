@@ -34,6 +34,10 @@ TRANSFER_XI_GRID_N = 128
 INJECTIVITY_XI_GRID_N = 128  # node budget of the injectivity scan's cover
 SIGMA_TOL = 1e-8  # sigma_cert above it certifies A(xi) invertible
 _TRANSFER_CHUNK = 1 << 20  # complex entries per Zak bank, 16 MB
+# largest Gram size that gets the node test: at n = 15 its two passes took
+# 48 ms against 76 ms of eigvalsh on the 3968 nodes of Gaussian 15/16; at
+# n = 31 they took 75 ms against about 65 ms on 1008 nodes, all cleared
+_NODE_TEST_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,9 @@ def _gram_extremes(S: np.ndarray) -> tuple:
     inside (lo_end, hi_end): it can neither hold nor tie the row's extremes.
     Every other node is evaluated by ``eigvalsh``; so are all nodes of a
     row whose two end values of lambda_min agree within delta (a row flat
-    in xi, where no node would clear) and of 1 x 1 matrices.  Cleared
+    in xi, where no node would clear), of 1 x 1 matrices and of matrices
+    larger than _NODE_TEST_MAX_N, where the test costs more than
+    ``eigvalsh``.  Cleared
     nodes read inf and -inf, so the row minima, their first argmin and the
     row maxima are those of ``eigvalsh`` at every node.
     """
@@ -221,7 +227,7 @@ def _gram_extremes(S: np.ndarray) -> tuple:
     mid = S[:, 1:-1]
     todo = np.ones(mid.shape[:2], dtype=bool)
     sloped = np.abs(ends[:, 0, 0] - ends[:, 1, 0]) > delta
-    rows = np.nonzero(sloped & (n > 1))[0]
+    rows = np.nonzero(sloped & (1 < n <= _NODE_TEST_MAX_N))[0]
     if rows.size:
         lo = np.min(ends[rows, :, 0], axis=1) + delta[rows]
         hi = np.max(ends[rows, :, -1], axis=1) - delta[rows]
